@@ -12,7 +12,8 @@ mix certified and heuristic numbers:
                  s = rho * M / (1 - rho), [net min - s, net max + s] brackets
                  the true [inf, sup].  True bounds, practical only for small d.
   multiStartOpt  projected subgradient ascent/descent from random plus axis
-                 starts with per-start step halving; heuristic on both sides.
+                 starts with per-start step halving; a start retires once
+                 its step is below 1e-12.  Heuristic on both sides.
 
 The cube witness reproduces the failure mode of a single sign-symmetric
 matrix on the sup side: aligning signs with the heaviest row inflates
@@ -81,28 +82,38 @@ def _pullback_subgradients(body: ConvexBody, P: np.ndarray, gamma: np.ndarray) -
 
 def _multistart(body: ConvexBody, gamma: np.ndarray, starts: int, seed: int,
                 mode: int, iters: int = 500) -> float:
-    """Best value found by projected subgradient ascent (+1) or descent (-1)."""
+    """Best value found by projected subgradient ascent (+1) or descent (-1).
+
+    P = X @ Gamma^T is kept for every start and updated from the candidate
+    projections of accepted steps; a start retires once its step falls below
+    1e-12, and only active starts are stepped and evaluated.
+    """
     d = gamma.shape[1]
     rng = np.random.default_rng(seed)
     axes = np.concatenate([np.eye(d), -np.eye(d)], axis=0)
     rand = rng.standard_normal((starts, d))
     rand /= np.linalg.norm(rand, axis=1, keepdims=True)
     X = np.concatenate([axes, rand], axis=0)
+    P = X @ gamma.T
+    vals = norm_many(body, P)
     step = np.full(X.shape[0], 0.5)
-    vals = norm_many(body, X @ gamma.T)
+    active = np.arange(X.shape[0])
     for _ in range(iters):
-        P = X @ gamma.T
-        G = _pullback_subgradients(body, P, gamma)
-        cand = X + mode * step[:, None] * G
+        G = _pullback_subgradients(body, P[active], gamma)
+        cand = X[active] + mode * step[active, None] * G
         cn = np.linalg.norm(cand, axis=1, keepdims=True)
         cn[cn == 0.0] = 1.0
         cand /= cn
-        cvals = norm_many(body, cand @ gamma.T)
-        better = cvals > vals if mode > 0 else cvals < vals
-        X[better] = cand[better]
-        vals[better] = cvals[better]
-        step[~better] *= 0.5
-        if np.all(step < 1e-12):
+        cand_p = cand @ gamma.T
+        cvals = norm_many(body, cand_p)
+        better = cvals > vals[active] if mode > 0 else cvals < vals[active]
+        moved = active[better]
+        X[moved] = cand[better]
+        P[moved] = cand_p[better]
+        vals[moved] = cvals[better]
+        step[active[~better]] *= 0.5
+        active = active[step[active] >= 1e-12]
+        if active.size == 0:
             break
     return float(vals.max() if mode > 0 else vals.min())
 
@@ -131,8 +142,6 @@ def measure_distortion(
     if method == "exactSpectral":
         if not (isinstance(body, LpBall) and body.p == 2.0):
             raise ValueError("exactSpectral requires an LpBall(2, n) body")
-        # fixed iteration seed keeps the report bit-identical to a direct
-        # singular_extremes call on the same matrix
         inf_est, sup_est = singular_extremes(gamma)
         sup_method = inf_method = "exactSpectral"
 

@@ -22,56 +22,13 @@ import numpy as np
 from dmlab.seeding import child_seed
 
 
-class PowerIterationError(RuntimeError):
-    def __init__(self, residual: float):
-        super().__init__(f"power iteration did not converge (residual {residual:.3e})")
-        self.residual = residual
-
-
-def _power_top_eig(G: np.ndarray, tol: float, max_iter: int, seed: int) -> float:
-    """Largest eigenvalue of a PSD matrix by power iteration with restarts."""
-    rng = np.random.default_rng(seed)
-    k = G.shape[0]
-    last_resid = math.inf
-    for _ in range(3):
-        v = rng.standard_normal(k)
-        v /= np.linalg.norm(v)
-        lam = 0.0
-        for _ in range(max_iter):
-            w = G @ v
-            norm_w = float(np.linalg.norm(w))
-            if norm_w == 0.0:
-                return 0.0
-            v_new = w / norm_w
-            lam_new = float(v_new @ (G @ v_new))
-            if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
-                return lam_new
-            v, lam = v_new, lam_new
-        last_resid = float(np.linalg.norm(G @ v - lam * v)) / max(lam, 1e-300)
-    raise PowerIterationError(last_resid)
-
-
-def singular_extremes(M, tol: float = 1e-8, max_iter: int = 10000, seed: int = 0):
-    """(sigma_min, sigma_max) of a matrix.
-
-    sigma_max comes from power iteration on the smaller gram matrix to
-    relative tolerance `tol`; sigma_min from a full decomposition when
-    min(dims) <= 64 and otherwise from shifted power iteration.
-    """
+def singular_extremes(M):
+    """(sigma_min, sigma_max) of a matrix, from LAPACK's singular values."""
     M = np.asarray(M, dtype=float)
     if M.size == 0:
         raise ValueError("matrix must be nonempty")
-    G = M @ M.T if M.shape[0] <= M.shape[1] else M.T @ M
-    lam_max = _power_top_eig(G, tol, max_iter, child_seed(seed, 0))
-    smax = math.sqrt(max(lam_max, 0.0))
-    if min(M.shape) <= 64:
-        smin = float(np.linalg.svd(M, compute_uv=False)[-1])
-    else:
-        shift = lam_max * (1.0 + 1e-6) + 1e-12
-        lam_shifted = _power_top_eig(shift * np.eye(G.shape[0]) - G, tol, max_iter,
-                                     child_seed(seed, 1))
-        smin = math.sqrt(max(shift - lam_shifted, 0.0))
-    return smin, smax
+    s = np.linalg.svd(M, compute_uv=False)
+    return float(s[-1]), float(s[0])
 
 
 def _submatrix_smax(sub: np.ndarray) -> float:
@@ -148,7 +105,7 @@ def sparse_supremum(
         raise ValueError(f"sparsity k must be in [1, {m}]")
 
     if k == m:
-        value = singular_extremes(X, seed=child_seed(seed, 0))[1]
+        value = singular_extremes(X)[1]
         return SparseSupremum(value, _witness_vector(X, range(m), m),
                               tuple(range(m)), "exact")
 
@@ -267,7 +224,7 @@ def check_event_A(
     d, m = X.shape
     sqrt_m = math.sqrt(m)
 
-    smin, smax = singular_extremes(X, seed=child_seed(seed, 0))
+    smin, smax = singular_extremes(X)
     k_event = int(theta * m)
     k_main = max(1, k_event)
 

@@ -182,8 +182,10 @@ def parse_config(cfg: dict) -> ExperimentConfig:
         _require(method in ("exactSpectral", "exactRowNorm", "netCertified", "multiStartOpt"),
                  "distortionMethod.method unknown")
         if method == "netCertified":
-            _require(isinstance(dist.get("rho"), (int, float)) and 0 < dist["rho"] <= 2,
-                     "netCertified needs rho in (0, 2]")
+            _require(isinstance(dist.get("rho"), (int, float)) and 0 < dist["rho"] < 0.5,
+                     "netCertified needs rho in (0, 1/2): the slack rho*M/(1-rho) "
+                     "reaches the net maximum M at rho = 1/2, so every certified "
+                     "infimum would be <= 0")
             _require(isinstance(dist.get("candidateBudget"), int) and dist["candidateBudget"] >= 1,
                      "netCertified needs a candidateBudget")
         if body is not None and body.get("kind") == "LpBall":

@@ -3,9 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from dmlab.bodies import LpBall, mean_width, polar_polytope
+from dmlab.bodies import LpBall, diagonal_image, mean_width, norm_many, polar_polytope
 from dmlab.calibration import GAUSSIAN_BAND
-from dmlab.distortion import adversarial_linf_witness, measure_distortion
+from dmlab.distortion import (
+    _multistart,
+    _pullback_subgradients,
+    adversarial_linf_witness,
+    measure_distortion,
+)
 from dmlab.events import singular_extremes
 from dmlab.nets import build_sphere_net
 
@@ -61,6 +66,54 @@ def test_multistart_monotone_in_starts():
     many = measure_distortion(body, M, "multiStartOpt", starts=48, seed=5)
     assert few.sup_est <= many.sup_est + 1e-12
     assert few.inf_est >= many.inf_est - 1e-12
+
+
+def _full_width_multistart(body, gamma, starts, seed, mode, iters=500):
+    """Reference: the loop that re-projects and re-evaluates every start each pass."""
+    d = gamma.shape[1]
+    rng = np.random.default_rng(seed)
+    axes = np.concatenate([np.eye(d), -np.eye(d)], axis=0)
+    rand = rng.standard_normal((starts, d))
+    rand /= np.linalg.norm(rand, axis=1, keepdims=True)
+    X = np.concatenate([axes, rand], axis=0)
+    step = np.full(X.shape[0], 0.5)
+    vals = norm_many(body, X @ gamma.T)
+    for _ in range(iters):
+        P = X @ gamma.T
+        G = _pullback_subgradients(body, P, gamma)
+        cand = X + mode * step[:, None] * G
+        cn = np.linalg.norm(cand, axis=1, keepdims=True)
+        cn[cn == 0.0] = 1.0
+        cand /= cn
+        cvals = norm_many(body, cand @ gamma.T)
+        better = cvals > vals if mode > 0 else cvals < vals
+        X[better] = cand[better]
+        vals[better] = cvals[better]
+        step[~better] *= 0.5
+        if np.all(step < 1e-12):
+            break
+    return float(vals.max() if mode > 0 else vals.min())
+
+
+def _family_body(family, n, rng):
+    if family == "polytope":
+        return polar_polytope(rng.standard_normal((12, n)))
+    if family == "diagonal":
+        return diagonal_image(LpBall(math.inf, n), rng.uniform(0.5, 2.0, n))
+    return LpBall(float(family), n)
+
+
+@pytest.mark.parametrize("family", ["inf", "1", "2", "3", "polytope", "diagonal"])
+@pytest.mark.parametrize("mode", [1, -1])
+def test_multistart_matches_full_width_loop(family, mode):
+    n, d = 40, 5
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        body = _family_body(family, n, rng)
+        G = rng.standard_normal((n, d))
+        got = _multistart(body, G, 16, seed, mode)
+        want = _full_width_multistart(body, G, 16, seed, mode)
+        assert abs(got - want) <= 1e-8 * abs(want)
 
 
 def test_net_certified_brackets_truth():

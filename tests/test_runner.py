@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ BASE_CFG = {
     "masterSeed": 42,
     "distortionMethod": {"method": "exactSpectral"},
 }
+
+DEMO_CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
 
 def test_validation_rejects_unknown_and_bad_fields():
@@ -235,3 +238,28 @@ def test_seed_override_changes_output(tmp_path):
                      "--out-dir", str(tmp_path / "b")]) == 0
     assert (tmp_path / "a" / "trials.csv").read_bytes() != \
         (tmp_path / "b" / "trials.csv").read_bytes()
+
+
+def test_net_certified_rho_must_be_below_one_half():
+    def cfg(rho):
+        return {**BASE_CFG, "experimentKind": "productLogConcave",
+                "body": {"kind": "LpBall", "p": "inf"},
+                "dRule": {"rule": "fixed", "d": 2},
+                "mRule": {"rule": "multipleOfN", "c": 2.0},
+                "distortionMethod": {"method": "netCertified", "rho": rho,
+                                     "candidateBudget": 1000}}
+    for rho in (0.5, 1.0, 1.5):
+        with pytest.raises(ConfigError, match=r"rho in \(0, 1/2\)"):
+            parse_config(cfg(rho))
+    parse_config(cfg(0.3))
+
+
+def test_demo_configs_run_through_cli(tmp_path, capsys):
+    cfg = json.loads((DEMO_CONFIGS / "gaussian_sanity.json").read_text())
+    cfg_path = tmp_path / "gaussian_sanity.json"
+    cfg_path.write_text(json.dumps({**cfg, "trials": 1}))
+    assert cli_main(["run", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert cli_main(["diag", str(DEMO_CONFIGS / "uniform_ensemble.json"),
+                     "--trials", "1000"]) == 0
+    assert json.loads(capsys.readouterr().out)["trials"] == 1000
