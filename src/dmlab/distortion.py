@@ -55,8 +55,12 @@ class DistortionReport:
     warning: bool = False
 
 
-def _pullback_subgradients(body: ConvexBody, P: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """Rows of d/dx ||Gamma x||_K at points x with P = X @ Gamma^T."""
+def _pullback_subgradients(body: ConvexBody, P: np.ndarray, gamma: np.ndarray,
+                           norms: np.ndarray) -> np.ndarray:
+    """Rows of d/dx ||Gamma x||_K at points x with P = X @ Gamma^T.
+
+    `norms` holds norm_many(body, P), which the caller already has.
+    """
     if isinstance(body, LpBall):
         if math.isinf(body.p):
             idx = np.argmax(np.abs(P), axis=1)
@@ -65,7 +69,6 @@ def _pullback_subgradients(body: ConvexBody, P: np.ndarray, gamma: np.ndarray) -
             return sgn[:, None] * gamma[idx, :]
         if body.p == 1.0:
             return np.sign(P) @ gamma
-        norms = norm_many(body, P)
         safe = np.where(norms > 0.0, norms, 1.0)
         if body.p == 2.0:
             g_y = P / safe[:, None]
@@ -76,7 +79,8 @@ def _pullback_subgradients(body: ConvexBody, P: np.ndarray, gamma: np.ndarray) -
         idx = np.argmax(P @ body.dual_vertices.T, axis=1)
         return body.dual_vertices[idx] @ gamma
     if isinstance(body, DiagonalImage):
-        return _pullback_subgradients(body.base, P / body.scales, gamma / body.scales[:, None])
+        return _pullback_subgradients(body.base, P / body.scales, gamma / body.scales[:, None],
+                                      norms)
     raise TypeError(f"unsupported body {type(body).__name__}")
 
 
@@ -99,7 +103,7 @@ def _multistart(body: ConvexBody, gamma: np.ndarray, starts: int, seed: int,
     step = np.full(X.shape[0], 0.5)
     active = np.arange(X.shape[0])
     for _ in range(iters):
-        G = _pullback_subgradients(body, P[active], gamma)
+        G = _pullback_subgradients(body, P[active], gamma, vals[active])
         cand = X[active] + mode * step[active, None] * G
         cn = np.linalg.norm(cand, axis=1, keepdims=True)
         cn[cn == 0.0] = 1.0

@@ -5,6 +5,14 @@ points plus uniform random sphere points), so separation is certified by
 construction while maximality with respect to the whole sphere is only
 approximate; the covering radius is estimated on a fresh probe sample and a
 warning flag is raised when the estimate exceeds rho.
+
+The greedy pass rejects candidates in blocks: one matmul against the points
+accepted so far drops every candidate of a block that an earlier accept
+already rules out, and a short filter loop runs on the survivors.  Block
+rejection is exact because the accepted set only grows: a candidate too close
+to an earlier accept is rejected by the one-at-a-time pass too, and the first
+survivor of a block is always that pass's next accept.  The accepted set is
+therefore the sequential greedy's, point for point and in the same order.
 """
 
 from __future__ import annotations
@@ -16,6 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from dmlab.seeding import child_seed
+
+_NET_BLOCK = 8192  # candidates rejected per matmul in build_sphere_net
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,6 +54,13 @@ def build_sphere_net(
     A candidate is accepted iff it is at least rho from every earlier accept,
     tested via inner products (dist >= rho iff <x,y> <= 1 - rho^2/2).  The
     accepted set is deterministic in (dim, rho, candidate_budget, seed).
+
+    Candidates are walked in blocks of `_NET_BLOCK`.  One matmul drops every
+    block candidate within rho of an earlier accept; then the first survivor
+    is accepted and every later survivor within rho of it is dropped, until
+    the block is empty.  Accepts are never revoked, so this rejects exactly
+    what the one-candidate-at-a-time greedy rejects, and the accepted points
+    are the sequential greedy's, in its order.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
@@ -66,10 +83,14 @@ def build_sphere_net(
     dot_cap = 1.0 - rho * rho / 2.0
     accepted = np.empty_like(candidates)
     count = 0
-    for c in candidates:
-        if count == 0 or (accepted[:count] @ c).max() <= dot_cap:
-            accepted[count] = c
+    for start in range(0, candidates.shape[0], _NET_BLOCK):
+        block = candidates[start:start + _NET_BLOCK]
+        if count:
+            block = block[(block @ accepted[:count].T).max(axis=1) <= dot_cap]
+        while block.shape[0]:
+            accepted[count] = block[0]
             count += 1
+            block = block[1:][block[1:] @ block[0] <= dot_cap]
     points = accepted[:count].copy()
 
     # Volumetric bound holds for any rho-separated subset of the sphere.

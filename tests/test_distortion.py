@@ -80,7 +80,7 @@ def _full_width_multistart(body, gamma, starts, seed, mode, iters=500):
     vals = norm_many(body, X @ gamma.T)
     for _ in range(iters):
         P = X @ gamma.T
-        G = _pullback_subgradients(body, P, gamma)
+        G = _pullback_subgradients(body, P, gamma, norm_many(body, P))
         cand = X + mode * step[:, None] * G
         cn = np.linalg.norm(cand, axis=1, keepdims=True)
         cn[cn == 0.0] = 1.0
@@ -114,6 +114,22 @@ def test_multistart_matches_full_width_loop(family, mode):
         got = _multistart(body, G, 16, seed, mode)
         want = _full_width_multistart(body, G, 16, seed, mode)
         assert abs(got - want) <= 1e-8 * abs(want)
+
+
+def test_multistart_evaluates_norms_once_per_iteration(monkeypatch):
+    # the subgradient reuses the norms the loop already holds; at 30 iterations
+    # no step can fall below 1e-12 (0.5 * 2**-30 > 1e-12), so no start retires
+    calls = []
+
+    def counting_norm_many(body, X):
+        calls.append(X.shape[0])
+        return norm_many(body, X)
+
+    monkeypatch.setattr("dmlab.distortion.norm_many", counting_norm_many)
+    rng = np.random.default_rng(0)
+    G = rng.standard_normal((1024, 12))
+    _multistart(LpBall(3.0, 1024), G, 64, 0, -1, iters=30)
+    assert len(calls) == 1 + 30
 
 
 def test_net_certified_brackets_truth():

@@ -1,9 +1,65 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from dmlab.nets import build_sphere_net, pajor_subset
+from dmlab.nets import _NET_BLOCK, build_sphere_net, pajor_subset
+from dmlab.seeding import child_seed
+
+
+def _sequential_greedy(candidates, rho):
+    """Reference: the one-candidate-at-a-time greedy pass."""
+    dot_cap = 1.0 - rho * rho / 2.0
+    accepted = np.empty_like(candidates)
+    count = 0
+    for c in candidates:
+        if count == 0 or (accepted[:count] @ c).max() <= dot_cap:
+            accepted[count] = c
+            count += 1
+    return accepted[:count].copy()
+
+
+def _candidates(dim, budget, seed):
+    """The candidate pool build_sphere_net draws: axis points, then sphere points."""
+    rng = np.random.default_rng(child_seed(seed, 0))
+    axes = np.zeros((2 * dim, dim))
+    for i in range(dim):
+        axes[2 * i, i] = 1.0
+        axes[2 * i + 1, i] = -1.0
+    rand = rng.standard_normal((budget, dim))
+    norms = np.linalg.norm(rand, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    rand /= norms
+    return np.concatenate([axes, rand], axis=0)
+
+
+def _covering(points, dim, seed, probe_budget=8192):
+    probe_rng = np.random.default_rng(child_seed(seed, 1))
+    probes = probe_rng.standard_normal((probe_budget, dim))
+    pn = np.linalg.norm(probes, axis=1, keepdims=True)
+    pn[pn == 0.0] = 1.0
+    probes /= pn
+    best_dot = (probes @ points.T).max(axis=1)
+    return float(np.sqrt(np.maximum(0.0, 2.0 - 2.0 * best_dot)).max())
+
+
+@pytest.mark.parametrize("dim,rho,budget,seed", [
+    (1, 1.0, 100, 0),
+    (2, 0.5, _NET_BLOCK // 2, 3),
+    (3, 0.4, 3 * _NET_BLOCK + 517, 11),
+    (2, 0.3, 4 * 10**5, 5),
+    (3, 0.5, 10**6, 0),
+    (5, 0.5, 4 * 10**5, 1234),
+    (6, 0.2, 10, 3),
+])
+def test_blocked_net_matches_sequential_greedy(dim, rho, budget, seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        net = build_sphere_net(dim, rho, budget, seed)
+    want = _sequential_greedy(_candidates(dim, budget, seed), rho)
+    assert np.array_equal(net.points, want)
+    assert net.covering_radius_estimate == _covering(want, dim, seed)
 
 
 def test_zero_sphere():
