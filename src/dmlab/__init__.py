@@ -7,34 +7,18 @@ with bounded distortion.
 """
 
 from dmlab.bodies import (
-    BodyConstants,
-    DiagonalImage,
     LpBall,
-    PolarPolytope,
     critical_dimension,
     diagonal_image,
     dual_norm_sup,
     mean_width,
     mean_width_auto,
-    norm_K,
     norm_many,
     polar_polytope,
 )
-from dmlab.ensembles import (
-    EnsembleSpec,
-    MarginalDiagnostics,
-    ProductEnsembleSpec,
-    marginal_diagnostics,
-    product_spec,
-    sample_matrix,
-    sample_product,
-)
-from dmlab.nets import SphereNet, build_sphere_net, pajor_subset
+from dmlab.ensembles import marginal_diagnostics, product_spec, sample_matrix, sample_product
+from dmlab.nets import build_sphere_net
 from dmlab.processes import (
-    AdmissibleSequence,
-    FiniteIndexSet,
-    ProcessEstimate,
-    TailTable,
     bernoulli_gaussian_ratio,
     bernoulli_lp,
     concentration_check,
@@ -43,26 +27,9 @@ from dmlab.processes import (
     index_set,
     sudakov_lower,
 )
-from dmlab.events import (
-    EventReport,
-    SparseSupremum,
-    check_event_A,
-    singular_extremes,
-    sparse_supremum,
-)
-from dmlab.distortion import (
-    DistortionReport,
-    WitnessReport,
-    adversarial_linf_witness,
-    measure_distortion,
-)
-from dmlab.params import ParameterSolution, SolverConstants, solve_parameters
-from dmlab.runner import (
-    ConfigError,
-    ExperimentConfig,
-    emit_plot_data,
-    parse_config,
-    run_experiment,
-)
+from dmlab.events import check_event_A, singular_extremes, sparse_supremum
+from dmlab.distortion import adversarial_linf_witness, measure_distortion
+from dmlab.params import solve_parameters
+from dmlab.runner import emit_plot_data, run_experiment
 
 __version__ = "0.1.0"

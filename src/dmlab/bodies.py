@@ -25,6 +25,10 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import erf, gammaln
 
+from dmlab.seeding import mc_mean
+
+_AUTO_MC_TRIALS = 20000  # Monte-Carlo samples of mean_width_auto
+
 
 @dataclass(frozen=True, eq=False)
 class LpBall:
@@ -158,20 +162,7 @@ def mean_width(
         if trials is None or trials < 1:
             raise ValueError("monteCarlo requires trials >= 1")
         rng = np.random.default_rng(0 if seed is None else seed)
-        total = 0.0
-        total_sq = 0.0
-        done = 0
-        while done < trials:
-            batch = min(4096, trials - done)
-            vals = norm_many(body, rng.standard_normal((batch, body.n)))
-            total += vals.sum()
-            total_sq += (vals**2).sum()
-            done += batch
-        mean = total / trials
-        if trials == 1:
-            return mean, 0.0
-        var = max(0.0, (total_sq - trials * mean**2) / (trials - 1))
-        return mean, math.sqrt(var / trials)
+        return mc_mean(trials, lambda count: norm_many(body, rng.standard_normal((count, body.n))))
 
     if method == "quadrature":
         if not (isinstance(body, LpBall) and math.isinf(body.p)):
@@ -195,14 +186,14 @@ def mean_width(
     raise ValueError(f"unknown mean-width method {method!r}")
 
 
-def mean_width_auto(body: ConvexBody, seed: int = 0, trials: int = 20000) -> tuple[float, float]:
+def mean_width_auto(body: ConvexBody, seed: int = 0) -> tuple[float, float]:
     """Best available ell(K) estimate: closed form / quadrature when exact, else MC."""
     if isinstance(body, LpBall):
         if body.p in (1.0, 2.0):
             return mean_width(body, "closedForm")
         if math.isinf(body.p):
             return mean_width(body, "quadrature")
-    return mean_width(body, "monteCarlo", trials=trials, seed=seed)
+    return mean_width(body, "monteCarlo", trials=_AUTO_MC_TRIALS, seed=seed)
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ from dmlab.nets import SphereNet
 from dmlab.seeding import child_seed
 
 _PHI_FLOOR = 1e-300
+_OPT_ITERS = 500  # iteration cap of each multi-start descent in measure_distortion
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,7 +131,6 @@ def measure_distortion(
     starts: int = 32,
     seed: int = 0,
     ell_k: float | None = None,
-    opt_iters: int = 500,
 ) -> DistortionReport:
     """Sup/inf of the embedded norm over the sphere, normalized by ell(K)."""
     gamma = np.asarray(gamma, dtype=float)
@@ -149,14 +149,15 @@ def measure_distortion(
         inf_est, sup_est = singular_extremes(gamma)
         sup_method = inf_method = "exactSpectral"
 
-    elif method == "exactRowNorm":
-        if not (isinstance(body, LpBall) and math.isinf(body.p)):
+    elif method in ("exactRowNorm", "multiStartOpt"):
+        sup_method = inf_method = f"multiStartOpt({starts})"
+        if method == "multiStartOpt":
+            sup_est = _multistart(body, gamma, starts, child_seed(seed, 0), +1, _OPT_ITERS)
+        elif isinstance(body, LpBall) and math.isinf(body.p):
+            sup_est, sup_method = float(np.linalg.norm(gamma, axis=1).max()), "exactRowNorm"
+        else:
             raise ValueError("exactRowNorm requires an LpBall(inf, n) body")
-        sup_est = float(np.linalg.norm(gamma, axis=1).max())
-        sup_method = "exactRowNorm"
-        inf_est = _multistart(body, gamma, starts, child_seed(seed, 1), mode=-1,
-                              iters=opt_iters)
-        inf_method = f"multiStartOpt({starts})"
+        inf_est = _multistart(body, gamma, starts, child_seed(seed, 1), -1, _OPT_ITERS)
         extras["starts"] = starts
 
     elif method == "netCertified":
@@ -177,14 +178,6 @@ def measure_distortion(
         sup_method = inf_method = tag
         extras.update(net_max=net_max, net_min=net_min, lipschitz_slack=slack,
                       rho=net.rho, net_size=net.size)
-
-    elif method == "multiStartOpt":
-        sup_est = _multistart(body, gamma, starts, child_seed(seed, 0), mode=+1,
-                              iters=opt_iters)
-        inf_est = _multistart(body, gamma, starts, child_seed(seed, 1), mode=-1,
-                              iters=opt_iters)
-        sup_method = inf_method = f"multiStartOpt({starts})"
-        extras["starts"] = starts
 
     else:
         raise ValueError(f"unknown distortion method {method!r}")

@@ -38,9 +38,6 @@ KINDS = (
     "HeavyTailedBounded",
 )
 
-_ENTRY_KINDS = {"GaussianIID", "UniformPM1", "UniformIsotropic", "RademacherIID"}
-_VECTOR_KINDS = {"SphericalRows", "LogConcaveSimplex", "HeavyTailedBounded"}
-
 _T_DOF = 12
 _T_SCALE = 1.0 / math.sqrt(_T_DOF / (_T_DOF - 2.0))  # unit variance
 _REJECTION_RADIUS = 100.0
@@ -193,15 +190,17 @@ class MarginalDiagnostics:
     paouris_c1: float
 
 
+_P_GRID = (2, 4, 8, 16)                    # moment orders of the psi_2 estimate
+_KAPPA_GRID = (1e-3, 1e-2, 5e-2, 1e-1)     # small-ball radii
+_U_GRID = (1.0, 2.0, 3.0)                  # norm-tail levels
+
+
 def marginal_diagnostics(
     spec: EnsembleSpec,
     probe_directions: int,
     trials: int,
     seed: int,
     q: float = 4.0,
-    p_grid: tuple = (2, 4, 8, 16),
-    kappa_grid: tuple = (1e-3, 1e-2, 5e-2, 1e-1),
-    u_grid: tuple = (1.0, 2.0, 3.0),
     paouris_c1: float = PAOURIS_C1,
 ) -> MarginalDiagnostics:
     """Probe isotropy, moment growth, small-ball mass and norm tails.
@@ -232,16 +231,16 @@ def marginal_diagnostics(
 
     abs_proj = np.abs(proj)
     psi2 = 0.0
-    for p in p_grid:
+    for p in _P_GRID:
         lp = (abs_proj**p).mean(axis=0) ** (1.0 / p)
         psi2 = max(psi2, float(lp.max()) / math.sqrt(p))
     l2 = np.sqrt((abs_proj**2).mean(axis=0))
     lq = (abs_proj**q).mean(axis=0) ** (1.0 / q)
     lq_ratio = float((lq / l2).max())
 
-    small_ball = {float(k): float((abs_proj <= k).mean(axis=0).max()) for k in kappa_grid}
+    small_ball = {float(k): float((abs_proj <= k).mean(axis=0).max()) for k in _KAPPA_GRID}
     norms = np.linalg.norm(Y, axis=1)
-    tail = {float(u): float((norms >= paouris_c1 * u * math.sqrt(dim)).mean()) for u in u_grid}
+    tail = {float(u): float((norms >= paouris_c1 * u * math.sqrt(dim)).mean()) for u in _U_GRID}
 
     return MarginalDiagnostics(
         dim=dim, trials=trials, isotropy_error=iso_err, psi2_estimate=psi2,

@@ -142,8 +142,7 @@ def sparse_supremum(
                         swap_val, swap = float(vals[jbest]), (i, int(cand[jbest]))
             if swap is None:
                 break
-            support = sorted(s for s in support if s != swap[0]) + [swap[1]]
-            support.sort()
+            support = sorted([s for s in support if s != swap[0]] + [swap[1]])
             val = swap_val
         sup_t = tuple(support)
         if val > best_val or (val == best_val and sup_t < best_sup):
@@ -236,13 +235,9 @@ def check_event_A(
     values, methods = {}, {}
     running = 0.0
     for k in grid:
-        if k == m:
-            val, tag = smax, "exact"
-        else:
-            val, tag = profile[k], "greedy"
-        if k == k_main:
-            if main.value >= val:
-                val, tag = main.value, main.method
+        val, tag = (smax, "exact") if k == m else (profile[k], "greedy")
+        if k == k_main and main.value >= val:
+            val, tag = main.value, main.method
         running = max(running, val)
         values[k] = running
         methods[k] = tag

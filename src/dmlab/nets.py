@@ -26,6 +26,7 @@ import numpy as np
 from dmlab.seeding import child_seed
 
 _NET_BLOCK = 8192  # candidates rejected per matmul in build_sphere_net
+_PROBE_BUDGET = 8192  # fresh sphere points probing the covering radius
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,12 +43,20 @@ class SphereNet:
         return self.points.shape[0]
 
 
+def _sphere_points(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    """`count` uniform points of the unit sphere (a zero draw stays zero)."""
+    X = rng.standard_normal((count, dim))
+    norms = np.linalg.norm(X, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    X /= norms
+    return X
+
+
 def build_sphere_net(
     dim: int,
     rho: float,
     candidate_budget: int,
     seed: int,
-    probe_budget: int = 8192,
 ) -> SphereNet:
     """Greedy packing over axis seeds plus `candidate_budget` random points.
 
@@ -70,15 +79,9 @@ def build_sphere_net(
         raise ValueError("candidate_budget must be >= 1")
 
     rng = np.random.default_rng(child_seed(seed, 0))
-    axes = np.zeros((2 * dim, dim))
-    for i in range(dim):
-        axes[2 * i, i] = 1.0
-        axes[2 * i + 1, i] = -1.0
-    rand = rng.standard_normal((candidate_budget, dim))
-    norms = np.linalg.norm(rand, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    rand /= norms
-    candidates = np.concatenate([axes, rand], axis=0)
+    axes = np.repeat(np.eye(dim), 2, axis=0)   # e_1, -e_1, e_2, -e_2, ...
+    axes[1::2] -= 2.0 * np.eye(dim)
+    candidates = np.concatenate([axes, _sphere_points(rng, candidate_budget, dim)], axis=0)
 
     dot_cap = 1.0 - rho * rho / 2.0
     accepted = np.empty_like(candidates)
@@ -97,11 +100,7 @@ def build_sphere_net(
     assert math.log(count) <= dim * math.log(5.0 / rho) + 1e-9, \
         "packing exceeded the volumetric bound"
 
-    probe_rng = np.random.default_rng(child_seed(seed, 1))
-    probes = probe_rng.standard_normal((probe_budget, dim))
-    pn = np.linalg.norm(probes, axis=1, keepdims=True)
-    pn[pn == 0.0] = 1.0
-    probes /= pn
+    probes = _sphere_points(np.random.default_rng(child_seed(seed, 1)), _PROBE_BUDGET, dim)
     best_dot = (probes @ points.T).max(axis=1)
     covering = float(np.sqrt(np.maximum(0.0, 2.0 - 2.0 * best_dot)).max())
 
@@ -112,6 +111,26 @@ def build_sphere_net(
             "increase candidate_budget", stacklevel=2)
     return SphereNet(dim=dim, rho=rho, points=points, separation_certified=True,
                      covering_radius_estimate=covering, covering_warning=warn)
+
+
+def farthest_first(dist_from, start: int, limit: int) -> tuple[list, np.ndarray]:
+    """Gonzalez's farthest-first traversal (greedy k-center) from `start`.
+
+    `dist_from(i)` gives every point's distance to point i.  Stops at `limit`
+    points or when only duplicates of selected points remain.  Returns the
+    selection order and the nonincreasing insertion radii (inf for `start`).
+    """
+    order = [start]
+    radii = [np.inf]
+    dmin = dist_from(start)
+    while len(order) < limit:
+        i = int(np.argmax(dmin))
+        if dmin[i] <= 0.0:
+            break
+        order.append(i)
+        radii.append(dmin[i])
+        dmin = np.minimum(dmin, dist_from(i))
+    return order, np.array(radii)
 
 
 def pajor_subset(points, epsilon: float, max_size: int) -> np.ndarray:
@@ -131,13 +150,5 @@ def pajor_subset(points, epsilon: float, max_size: int) -> np.ndarray:
     P = np.atleast_2d(np.asarray(points, dtype=float))
     if P.size == 0:
         raise ValueError("points must be nonempty")
-
-    selected = [0]
-    dmin = np.linalg.norm(P - P[0], axis=1)
-    while len(selected) < max_size:
-        i = int(np.argmax(dmin))
-        if dmin[i] <= 0.0:
-            break  # only duplicates of selected points remain
-        selected.append(i)
-        dmin = np.minimum(dmin, np.linalg.norm(P - P[i], axis=1))
-    return P[np.array(selected)]
+    order, _ = farthest_first(lambda i: np.linalg.norm(P - P[i], axis=1), 0, max_size)
+    return P[np.array(order)]

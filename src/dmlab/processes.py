@@ -17,16 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from dmlab.calibration import C_SUD, CONCENTRATION_C
-from dmlab.seeding import child_seed
+from dmlab.nets import farthest_first
+from dmlab.seeding import child_seed, mc_chunks, mc_mean
 
 _EXACT_DIM_CAP = 20
-_CHUNK = 4096
+_TAIL_MULTIPLES = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)  # tail points x / sigma*
 
 
 @dataclass(frozen=True, eq=False)
 class FiniteIndexSet:
     vectors: np.ndarray            # (size, ell)
-    labels: tuple | None = None
 
     def __post_init__(self):
         V = self.vectors
@@ -44,8 +44,8 @@ class FiniteIndexSet:
         return self.vectors.shape[0]
 
 
-def index_set(vectors, labels=None) -> FiniteIndexSet:
-    return FiniteIndexSet(np.atleast_2d(np.asarray(vectors, dtype=float)), labels)
+def index_set(vectors) -> FiniteIndexSet:
+    return FiniteIndexSet(np.atleast_2d(np.asarray(vectors, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,13 @@ class ProcessEstimate:
     stderr: float
     method: str                    # "monteCarlo" or "exactEnumeration"
     trials: int
+
+
+def _coefficients(kind: str, rng: np.random.Generator, ell: int):
+    """Sampler of `count` gaussian or sign coefficient vectors of length ell."""
+    if kind == "gaussian":
+        return lambda count: rng.standard_normal((count, ell))
+    return lambda count: (rng.integers(0, 2, size=(count, ell)) * 2 - 1).astype(float)
 
 
 def _sign_block(start: int, count: int, ell: int) -> np.ndarray:
@@ -98,23 +105,9 @@ def emp_sup(
         raise ValueError(f"unknown method {method!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < trials:
-        count = min(_CHUNK, trials - done)
-        if kind == "gaussian":
-            G = rng.standard_normal((count, T.ell))
-        else:
-            G = (rng.integers(0, 2, size=(count, T.ell)) * 2 - 1).astype(float)
-        sups = (G @ V).max(axis=1)
-        total += sups.sum()
-        total_sq += (sups**2).sum()
-        done += count
-    mean = total / trials
-    var = max(0.0, (total_sq - trials * mean**2) / max(trials - 1, 1))
-    return ProcessEstimate(mean, math.sqrt(var / trials), "monteCarlo", trials)
+    draw = _coefficients(kind, np.random.default_rng(seed), T.ell)
+    mean, stderr = mc_mean(trials, lambda count: (draw(count) @ V).max(axis=1))
+    return ProcessEstimate(mean, stderr, "monteCarlo", trials)
 
 
 def bernoulli_lp(a, p: int) -> float:
@@ -141,18 +134,6 @@ class AdmissibleSequence:
     caps: tuple
 
 
-def _farthest_first_order(D: np.ndarray, start: int) -> list:
-    order = [start]
-    dmin = D[start].copy()
-    for _ in range(D.shape[0] - 1):
-        i = int(np.argmax(dmin))
-        if dmin[i] <= 0.0:
-            break
-        order.append(i)
-        dmin = np.minimum(dmin, D[i])
-    return order
-
-
 def _pairwise(V: np.ndarray) -> np.ndarray:
     sq = (V**2).sum(axis=1)
     D2 = sq[:, None] + sq[None, :] - 2.0 * (V @ V.T)
@@ -172,13 +153,11 @@ def gamma2_upper(T: FiniteIndexSet) -> tuple[float, AdmissibleSequence]:
     k = T.size
     D = _pairwise(V)
     center = int(np.argmin(D.max(axis=1)))
-    order = _farthest_first_order(D, center)
+    order, _ = farthest_first(lambda i: D[i], center, k)
     # Points at distance 0 from the selection never enter the order; they are
     # represented exactly by their duplicate, which keeps chains finite.
     s_max = math.ceil(math.log2(math.log2(max(k, 4)))) + 2
-    caps = [1]
-    for s in range(1, s_max + 1):
-        caps.append(min(2 ** (2**s), k))
+    caps = [1] + [min(2 ** (2**s), k) for s in range(1, s_max + 1)]
 
     levels = []
     assignments = np.empty((len(caps), k), dtype=int)
@@ -212,18 +191,7 @@ def sudakov_lower(T: FiniteIndexSet, c_sud: float = C_SUD) -> float:
     dists = dists[dists > 0]
     if dists.size == 0:
         return 0.0
-
-    order = [0]
-    dmin = D[0].copy()
-    radii = [np.inf]
-    for _ in range(T.size - 1):
-        i = int(np.argmax(dmin))
-        if dmin[i] <= 0:
-            break
-        radii.append(dmin[i])
-        order.append(i)
-        dmin = np.minimum(dmin, D[i])
-    radii = np.array(radii)
+    _, radii = farthest_first(lambda i: D[i], 0, T.size)
 
     best = 0.0
     for eps in np.unique(np.quantile(dists, np.linspace(0.05, 0.95, 19))):
@@ -248,7 +216,6 @@ def concentration_check(
     trials: int = 10000,
     seed: int = 0,
     c: float = CONCENTRATION_C,
-    multiples: tuple = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0),
 ) -> TailTable:
     """Empirical two-sided tails of the Bernoulli supremum vs the gaussian-shape bound.
 
@@ -258,18 +225,12 @@ def concentration_check(
     if trials < 10**4:
         raise ValueError("concentration_check needs trials >= 1e4")
     V = T.vectors.T
-    rng = np.random.default_rng(seed)
-    sups = np.empty(trials)
-    done = 0
-    while done < trials:
-        count = min(_CHUNK, trials - done)
-        E = (rng.integers(0, 2, size=(count, T.ell)) * 2 - 1).astype(float)
-        sups[done:done + count] = (E @ V).max(axis=1)
-        done += count
+    draw = _coefficients("bernoulli", np.random.default_rng(seed), T.ell)
+    sups = np.concatenate(list(mc_chunks(trials, lambda count: (draw(count) @ V).max(axis=1))))
     sigma = float(np.linalg.norm(T.vectors, axis=1).max())
     mean = float(sups.mean())
     dev = np.abs(sups - mean)
-    xs = np.array([m * sigma for m in multiples])
+    xs = np.array([m * sigma for m in _TAIL_MULTIPLES])
     emp = np.array([float((dev > x).mean()) for x in xs])
     bound = 2.0 * np.exp(-c * xs**2 / sigma**2) if sigma > 0 else np.full_like(xs, 2.0)
     return TailTable(x=xs, empirical=emp, bound=bound, sigma_star=sigma, c=c, sup_mean=mean)

@@ -2,16 +2,18 @@
 
 A config names one experiment kind, a body family, a dimension schedule and
 rules deriving the subspace dimension d and the intermediate dimension m from
-each ambient n.  Every trial draws its own seed from the master seed and the
-global trial index, so sweeps are embarrassingly parallel and re-running a
-config reproduces the CSV and the JSON summary byte for byte at any thread
-count (ordered reduction; per-trial wall time is recorded only when
-`recordTiming` is set, since real timings break byte-identity).
+each ambient n.  The table `_KINDS` maps each kind to its trial function and
+to what its config must carry; `_D_RULES` and `_M_RULES` pair each rule's
+check with its derivation.  Every trial draws its own seed from the master
+seed and the global trial index, so sweeps are embarrassingly parallel and
+re-running a config reproduces the CSV and the JSON summary byte for byte at
+any thread count (ordered reduction; per-trial wall time is recorded only
+when `recordTiming` is set, since real timings break byte-identity).
 
 Outputs: one RFC-4180 CSV row per trial (floats at 17 significant digits,
 failures recorded in an error column instead of aborting the sweep) and a
-JSON summary embedding the config echo, per-n quartile series and the frozen
-calibration block.
+JSON summary embedding the config echo, per-n quartile series, the frozen
+calibration block and, for processSandbox, the trials' mean concentration tail.
 """
 
 from __future__ import annotations
@@ -22,14 +24,16 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from dmlab.bodies import LpBall, dual_norm_sup, mean_width_auto, polar_polytope
 from dmlab.calibration import CONCENTRATION_C, calibration_block
 from dmlab.distortion import adversarial_linf_witness, measure_distortion
+from dmlab.ensembles import KINDS as ENSEMBLE_KINDS
 from dmlab.ensembles import EnsembleSpec, product_spec, sample_matrix, sample_product
 from dmlab.events import check_event_A
 from dmlab.nets import build_sphere_net
@@ -41,22 +45,6 @@ from dmlab.seeding import child_seed
 class ConfigError(ValueError):
     """Invalid experiment configuration; raised before any computation."""
 
-
-EXPERIMENT_KINDS = (
-    "gaussianDM",
-    "cubeCounterexample",
-    "productUniform",
-    "productLogConcave",
-    "productHeavyTailed",
-    "eventAFrequency",
-    "processSandbox",
-)
-
-_PRODUCT_DEFAULTS = {
-    "productUniform": ("UniformPM1", "UniformPM1"),
-    "productLogConcave": ("UniformIsotropic", "LogConcaveSimplex"),
-    "productHeavyTailed": ("UniformIsotropic", "HeavyTailedBounded"),
-}
 
 CSV_COLUMNS = (
     "experimentId", "n", "d", "m", "seed", "trialIndex", "supEst", "infEst",
@@ -70,16 +58,65 @@ _TOP_KEYS = {
     "process", "recordTiming",
 }
 
+_PROCESS_DEFAULTS = {"setSize": 32, "setDim": 16, "innerTrials": 10_000, "supTrials": 2000}
 
-def _expect_keys(d: dict, allowed: set, ctx: str) -> None:
+# The LpBall p that an exact distortion method needs (measure_distortion checks it too).
+_METHOD_P = {"exactSpectral": 2, "exactRowNorm": "inf"}
+
+
+def _expect_keys(d, allowed: set, ctx: str) -> None:
+    _require(isinstance(d, dict), f"{ctx} must be a JSON object")
     unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"unknown fields in {ctx}: {sorted(unknown)}")
+    _require(not unknown, f"unknown fields in {ctx}: {sorted(unknown)}")
 
 
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ConfigError(msg)
+
+
+def _is_num(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_int(v, low: int = 1) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= low
+
+
+class _Rule(NamedTuple):
+    field: str          # the rule's parameter field
+    want: str           # what that field must hold, for the error message
+    check: Callable     # (field value, schedule length) -> bool
+    derive: Callable    # (rule, schedule index, n, dStar) -> d or m
+
+
+_D_RULES = {
+    "fixed": _Rule("d", "an integer >= 1", lambda v, k: _is_int(v),
+                   lambda r, i, n, ds: r["d"]),
+    "fixedPerN": _Rule("values", "a list of one integer >= 1 per schedule entry",
+                       lambda v, k: isinstance(v, list) and len(v) == k and all(map(_is_int, v)),
+                       lambda r, i, n, ds: r["values"][i]),
+    "fractionOfDStar": _Rule("c", "positive", lambda v, k: _is_num(v) and v > 0,
+                             lambda r, i, n, ds: max(1, int(round(r["c"] * ds)))),
+    "logN": _Rule("c", "positive", lambda v, k: _is_num(v) and v > 0,
+                  lambda r, i, n, ds: max(1, int(math.floor(r["c"] * math.log(n))))),
+}
+
+_M_RULES = {
+    "fixed": _Rule("m", "an integer >= 1", lambda v, k: _is_int(v),
+                   lambda r, i, n, ds: r["m"]),
+    "multipleOfN": _Rule("c", "positive", lambda v, k: _is_num(v) and v > 0,
+                         lambda r, i, n, ds: int(math.ceil(r["c"] * n))),
+}
+
+
+def _check_rule(cfg: dict, name: str, rules: dict, schedule_len: int) -> None:
+    spec = cfg.get(name)
+    _expect_keys(spec, {"rule", *(r.field for r in rules.values())}, name)
+    rule = rules.get(spec.get("rule")) if isinstance(spec.get("rule"), str) else None
+    _require(rule is not None, f"{name}.rule must be {' | '.join(rules)}")
+    _require(rule.check(spec.get(rule.field), schedule_len),
+             f"{name}.{rule.field} must be {rule.want} for rule {spec['rule']}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,113 +137,87 @@ class ExperimentConfig:
 
 def parse_config(cfg: dict) -> ExperimentConfig:
     """Validate a config dict (unknown fields rejected) before any sampling."""
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
     _expect_keys(cfg, _TOP_KEYS, "config")
-    kind = cfg.get("experimentKind")
-    _require(kind in EXPERIMENT_KINDS, f"experimentKind must be one of {EXPERIMENT_KINDS}")
+    name = cfg.get("experimentKind")
+    kind = _KINDS.get(name) if isinstance(name, str) else None
+    _require(kind is not None, f"experimentKind must be one of {tuple(_KINDS)}")
 
     schedule = cfg.get("schedule")
     _require(isinstance(schedule, list) and len(schedule) >= 1, "schedule must be a nonempty list")
-    _require(all(isinstance(n, int) and n >= 1 for n in schedule), "schedule entries must be positive integers")
+    _require(all(map(_is_int, schedule)), "schedule entries must be positive integers")
 
     trials = cfg.get("trials")
-    _require(isinstance(trials, int) and trials >= 1, "trials must be an integer >= 1")
+    _require(_is_int(trials), "trials must be an integer >= 1")
     seed = cfg.get("masterSeed", 0)
-    _require(isinstance(seed, int) and seed >= 0, "masterSeed must be a nonnegative integer")
+    _require(_is_int(seed, 0), "masterSeed must be a nonnegative integer")
 
     record_timing = cfg.get("recordTiming", False)
     _require(isinstance(record_timing, bool), "recordTiming must be a boolean")
 
     body = cfg.get("body")
-    if kind != "processSandbox":
-        _require(isinstance(body, dict), "body descriptor is required")
+    if kind.process:
+        _require(body is None, f"{name} takes no body")
+    else:
         _expect_keys(body, {"kind", "p", "dualVertices"}, "body")
         if body.get("kind") == "LpBall":
             p = body.get("p")
-            _require(p == "inf" or (isinstance(p, (int, float)) and p >= 1),
-                     "body.p must be >= 1 or 'inf'")
+            _require(p == "inf" or (_is_num(p) and p >= 1), "body.p must be >= 1 or 'inf'")
         elif body.get("kind") == "PolarPolytope":
             _require(isinstance(body.get("dualVertices"), list) and body["dualVertices"],
                      "PolarPolytope needs a nonempty dualVertices list")
         else:
             raise ConfigError("body.kind must be 'LpBall' or 'PolarPolytope'")
 
-    d_rule = cfg.get("dRule")
-    _require(isinstance(d_rule, dict), "dRule is required")
-    _expect_keys(d_rule, {"rule", "d", "c", "values"}, "dRule")
-    rule = d_rule.get("rule")
-    if rule == "fixed":
-        _require(isinstance(d_rule.get("d"), int) and d_rule["d"] >= 1, "dRule.d must be >= 1")
-    elif rule == "fixedPerN":
-        vals = d_rule.get("values")
-        _require(isinstance(vals, list) and len(vals) == len(schedule)
-                 and all(isinstance(v, int) and v >= 1 for v in vals),
-                 "dRule.values must list one d >= 1 per schedule entry")
-    elif rule in ("fractionOfDStar", "logN"):
-        _require(isinstance(d_rule.get("c"), (int, float)) and d_rule["c"] > 0,
-                 f"dRule.c must be positive for {rule}")
+    _check_rule(cfg, "dRule", _D_RULES, len(schedule))
+    if cfg.get("mRule") is not None:
+        _check_rule(cfg, "mRule", _M_RULES, len(schedule))
     else:
-        raise ConfigError("dRule.rule must be fixed | fixedPerN | fractionOfDStar | logN")
-
-    m_rule = cfg.get("mRule")
-    needs_m = kind in _PRODUCT_DEFAULTS or kind == "eventAFrequency"
-    if m_rule is not None:
-        _expect_keys(m_rule, {"rule", "m", "c"}, "mRule")
-        rule = m_rule.get("rule")
-        if rule == "fixed":
-            _require(isinstance(m_rule.get("m"), int) and m_rule["m"] >= 1, "mRule.m must be >= 1")
-        elif rule == "multipleOfN":
-            _require(isinstance(m_rule.get("c"), (int, float)) and m_rule["c"] > 0,
-                     "mRule.c must be positive")
-        else:
-            raise ConfigError("mRule.rule must be fixed | multipleOfN")
-    elif needs_m:
-        raise ConfigError(f"{kind} requires an mRule")
+        _require(not kind.m_rule, f"{name} requires an mRule")
 
     ens = cfg.get("ensembles", {})
     _expect_keys(ens, {"row", "col", "single"}, "ensembles")
-    from dmlab.ensembles import KINDS as ENSEMBLE_KINDS
     for slot, val in ens.items():
         _require(val in ENSEMBLE_KINDS, f"ensembles.{slot} must be one of {ENSEMBLE_KINDS}")
 
     dist = cfg.get("distortionMethod")
-    if kind == "cubeCounterexample" and dist is not None:
-        _expect_keys(dist, {"method", "starts"}, "distortionMethod")
-        _require(dist.get("method") == "exactRowNorm",
-                 "cubeCounterexample supports only the exactRowNorm distortion method")
-    elif kind in ("gaussianDM", *_PRODUCT_DEFAULTS):
-        _require(isinstance(dist, dict), f"{kind} requires a distortionMethod")
-        _expect_keys(dist, {"method", "starts", "rho", "candidateBudget"}, "distortionMethod")
+    method = None
+    if dist is None:
+        _require(not kind.method_required, f"{name} requires a distortionMethod")
+    else:
+        _require(bool(kind.methods), f"{name} takes no distortionMethod")
+        net_keys = {"rho", "candidateBudget"} if "netCertified" in kind.methods else set()
+        _expect_keys(dist, {"method", "starts", *net_keys}, "distortionMethod")
         method = dist.get("method")
-        _require(method in ("exactSpectral", "exactRowNorm", "netCertified", "multiStartOpt"),
-                 "distortionMethod.method unknown")
+        _require(method in kind.methods,
+                 f"{name} supports the distortion methods {' | '.join(kind.methods)}")
         if method == "netCertified":
-            _require(isinstance(dist.get("rho"), (int, float)) and 0 < dist["rho"] < 0.5,
+            _require(_is_num(dist.get("rho")) and 0 < dist["rho"] < 0.5,
                      "netCertified needs rho in (0, 1/2): the slack rho*M/(1-rho) "
                      "reaches the net maximum M at rho = 1/2, so every certified "
                      "infimum would be <= 0")
-            _require(isinstance(dist.get("candidateBudget"), int) and dist["candidateBudget"] >= 1,
-                     "netCertified needs a candidateBudget")
-        if body is not None and body.get("kind") == "LpBall":
-            p = body.get("p")
-            if method == "exactSpectral":
-                _require(p == 2, "exactSpectral requires body LpBall(2, n)")
-            if method == "exactRowNorm":
-                _require(p == "inf", "exactRowNorm requires body LpBall(inf, n)")
+            _require(_is_int(dist.get("candidateBudget")), "netCertified needs a candidateBudget")
+    need_p = _METHOD_P.get(method, kind.lp)
+    if need_p is not None:
+        _require(body.get("kind") == "LpBall" and body.get("p") == need_p,
+                 f"{method if method in _METHOD_P else name} requires body LpBall({need_p}, n)")
 
     constants = cfg.get("constants", {})
     _expect_keys(constants, {"kappa1", "rho", "q", "theta", "delta",
                              "c0", "c1", "c2", "c3", "restarts"}, "constants")
+    _require(all(map(_is_num, constants.values())), "constants must be numbers")
 
     process = cfg.get("process", {})
-    _expect_keys(process, {"setSize", "setDim", "innerTrials", "supTrials"}, "process")
+    _expect_keys(process, set(_PROCESS_DEFAULTS), "process")
+    for key, value in process.items():
+        low = 10**4 if key == "innerTrials" else 1  # concentration_check needs 1e4 draws
+        _require(_is_int(value, low), f"process.{key} must be an integer >= {low}")
 
     outputs = cfg.get("outputs", {})
     _expect_keys(outputs, {"csv", "summary"}, "outputs")
+    _require(all(isinstance(v, str) for v in outputs.values()), "outputs must be file names")
 
     return ExperimentConfig(
-        raw=cfg, experiment_kind=kind, schedule=tuple(schedule), trials=trials,
+        raw=cfg, experiment_kind=name, schedule=tuple(schedule), trials=trials,
         master_seed=seed, record_timing=record_timing,
     )
 
@@ -252,6 +263,7 @@ class TrialRecord:
     elapsed_ms: float = -1.0
     method_tags: str = ""
     error: str = ""
+    tail: object = None             # processSandbox: the trial's TailTable (not in the CSV)
 
 
 def _fmt(x) -> str:
@@ -265,45 +277,25 @@ def _fmt(x) -> str:
 
 
 def _to_row(r: TrialRecord) -> list:
-    return [r.experiment_id, r.n, r.d, r.m, r.seed, r.trial_index,
-            _fmt(r.sup_est), _fmt(r.inf_est), _fmt(r.ratio), _fmt(r.ell_k),
-            _fmt(r.d_star), _fmt(r.event_a_holds), _fmt(r.witness_ratio),
-            _fmt(r.elapsed_ms), r.method_tags, r.error]
-
-
-def _derive_d(cfg: dict, n_index: int, n: int, d_star: float) -> int:
-    rule = cfg["dRule"]
-    if rule["rule"] == "fixed":
-        return rule["d"]
-    if rule["rule"] == "fixedPerN":
-        return rule["values"][n_index]
-    if rule["rule"] == "fractionOfDStar":
-        return max(1, int(round(rule["c"] * d_star)))
-    return max(1, int(math.floor(rule["c"] * math.log(n))))
-
-
-def _derive_m(cfg: dict, n: int) -> int:
-    rule = cfg.get("mRule")
-    if rule is None:
-        return 0
-    if rule["rule"] == "fixed":
-        return rule["m"]
-    return int(math.ceil(rule["c"] * n))
+    # TrialRecord's leading fields are the CSV columns, in order.
+    return [_fmt(v) for v in list(vars(r).values())[:len(CSV_COLUMNS)]]
 
 
 def _schedule_context(config: ExperimentConfig, n_index: int) -> _ScheduleContext:
     cfg = config.raw
-    kind = config.experiment_kind
+    kind = _KINDS[config.experiment_kind]
     n = config.schedule[n_index]
-    if kind == "processSandbox":
-        proc = cfg.get("process", {})
-        return _ScheduleContext(n=n, d=proc.get("setDim", 16), m=proc.get("setSize", 32),
+    if kind.process:
+        proc = {**_PROCESS_DEFAULTS, **cfg.get("process", {})}
+        return _ScheduleContext(n=n, d=proc["setDim"], m=proc["setSize"],
                                 body=None, ell_k=float("nan"), d_star=float("nan"))
     body = _build_body(cfg["body"], n)
     ell_k, _ = mean_width_auto(body, seed=child_seed(config.master_seed, 900_000 + n_index))
     d_star = (ell_k / dual_norm_sup(body)) ** 2
-    d = _derive_d(cfg, n_index, n, d_star)
-    m = _derive_m(cfg, n)
+    d_rule = cfg["dRule"]
+    d = _D_RULES[d_rule["rule"]].derive(d_rule, n_index, n, d_star)
+    m_rule = cfg.get("mRule")
+    m = _M_RULES[m_rule["rule"]].derive(m_rule, n_index, n, d_star) if m_rule else 0
 
     net = None
     dist = cfg.get("distortionMethod") or {}
@@ -312,7 +304,7 @@ def _schedule_context(config: ExperimentConfig, n_index: int) -> _ScheduleContex
                                seed=child_seed(config.master_seed, 920_000 + n_index))
 
     theta = delta = None
-    if kind == "eventAFrequency":
+    if kind.solves_event:
         consts = cfg.get("constants", {})
         if "theta" in consts and "delta" in consts:
             theta, delta = consts["theta"], consts["delta"]
@@ -326,93 +318,121 @@ def _schedule_context(config: ExperimentConfig, n_index: int) -> _ScheduleContex
                             net=net, theta=theta, delta=delta)
 
 
-def _run_trial(config: ExperimentConfig, ctx: _ScheduleContext,
-               trial_index: int, seed: int) -> TrialRecord:
-    cfg = config.raw
-    kind = config.experiment_kind
+# Trial functions: (config, schedule context, trial seed, ensemble laws) -> the
+# TrialRecord fields measured.  They look up measure_distortion, the samplers
+# and the estimators in this module's globals at call time, so patches apply.
+
+def _distortion_fields(cfg: dict, ctx: _ScheduleContext, gamma, seed: int) -> dict:
+    dist = cfg["distortionMethod"]
+    rep = measure_distortion(ctx.body, gamma, dist["method"], net=ctx.net,
+                             starts=dist.get("starts", 32), seed=child_seed(seed, 1),
+                             ell_k=ctx.ell_k)
+    return dict(sup_est=rep.sup_est, inf_est=rep.inf_est, ratio=rep.ratio,
+                method_tags=f"sup={rep.sup_method};inf={rep.inf_method}")
+
+
+def _gaussian_trial(cfg, ctx, seed, laws) -> dict:
+    gamma = sample_matrix(EnsembleSpec("GaussianIID", ctx.n, ctx.d), child_seed(seed, 0))
+    return _distortion_fields(cfg, ctx, gamma, seed)
+
+
+def _cube_trial(cfg, ctx, seed, laws) -> dict:
+    M = sample_matrix(EnsembleSpec(laws["single"], ctx.n, ctx.d), child_seed(seed, 0))
+    wit = adversarial_linf_witness(M)
+    if cfg.get("distortionMethod"):
+        # Full estimator pair, for use as a control against product runs.
+        fields = _distortion_fields(cfg, ctx, M, seed)
+        return {**fields, "witness_ratio": wit.ratio,
+                "method_tags": fields["method_tags"] + ";witness=signAligned"}
+    sup_est = float(np.linalg.norm(M, axis=1).max())
+    inf_est = wit.phi_e1
+    return dict(sup_est=sup_est, inf_est=inf_est,
+                ratio=sup_est / inf_est if inf_est > 0 else math.inf,
+                witness_ratio=wit.ratio,
+                method_tags="sup=exactRowNorm;inf=axisProbeE1;witness=signAligned")
+
+
+def _product_trial(cfg, ctx, seed, laws) -> dict:
+    pspec = product_spec(laws["row"], laws["col"], n=ctx.n, d=ctx.d, m=ctx.m)
+    gamma, _, _ = sample_product(pspec, child_seed(seed, 0))
+    return _distortion_fields(cfg, ctx, gamma, seed)
+
+
+def _event_trial(cfg, ctx, seed, laws) -> dict:
+    consts = cfg.get("constants", {})
+    spec = EnsembleSpec(laws["col"], rows=ctx.d, cols=ctx.m, vector_axis="cols")
+    gamma2 = sample_matrix(spec, child_seed(seed, 0))
+    rep = check_event_A(gamma2, consts.get("kappa1", 2.0), ctx.delta, ctx.theta,
+                        method="greedy", restarts=consts.get("restarts", 20),
+                        seed=child_seed(seed, 1))
+    k_main = max(1, rep.k_event)
+    return dict(sup_est=rep.sparse_sup[k_main], event_a_holds=rep.event_a_holds,
+                method_tags=f"sparse={rep.sparse_methods[k_main]};k={k_main};"
+                            f"kappa1Measured={rep.kappa1_measured:.6g}")
+
+
+def _sandbox_trial(cfg, ctx, seed, laws) -> dict:
+    proc = {**_PROCESS_DEFAULTS, **cfg.get("process", {})}
+    rng = np.random.default_rng(child_seed(seed, 0))
+    T = index_set(rng.standard_normal((ctx.m, ctx.d)))
+    sup = emp_sup("gaussian", T, trials=proc["supTrials"], seed=child_seed(seed, 1))
+    sud = sudakov_lower(T)
+    tail = concentration_check(T, trials=proc["innerTrials"], seed=child_seed(seed, 2))
+    return dict(sup_est=sup.value, inf_est=sud,
+                ratio=sup.value / sud if sud > 0 else math.inf,
+                method_tags="sup=empSupGaussianMC;inf=sudakovLower", tail=tail)
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """One experiment kind: its trial function and what its config must carry."""
+
+    trial: Callable
+    laws: dict                  # ensemble slot -> default law the trial draws
+    lp: str | None = None       # the LpBall p the body must have, if any
+    m_rule: bool = False        # an mRule is required
+    methods: tuple = ()         # allowed distortionMethod.method values
+    method_required: bool = False
+    solves_event: bool = False  # theta and delta are derived per schedule entry
+    process: bool = False       # d and m come from `process`; no body
+
+
+# The kinds that measure the distortion of a map, by any of the four methods.
+_MEASURED = dict(methods=("exactSpectral", "exactRowNorm", "netCertified", "multiStartOpt"),
+                 method_required=True)
+
+_KINDS = {
+    "gaussianDM": _Kind(_gaussian_trial, {}, **_MEASURED),
+    "cubeCounterexample": _Kind(_cube_trial, {"single": "UniformPM1"}, lp="inf",
+                                methods=("exactRowNorm",)),
+    "productUniform": _Kind(_product_trial, {"row": "UniformPM1", "col": "UniformPM1"},
+                            m_rule=True, **_MEASURED),
+    "productLogConcave": _Kind(_product_trial, {"row": "UniformIsotropic",
+                                                "col": "LogConcaveSimplex"},
+                               m_rule=True, **_MEASURED),
+    "productHeavyTailed": _Kind(_product_trial, {"row": "UniformIsotropic",
+                                                 "col": "HeavyTailedBounded"},
+                                m_rule=True, **_MEASURED),
+    "eventAFrequency": _Kind(_event_trial, {"col": "UniformIsotropic"}, m_rule=True,
+                             solves_event=True),
+    "processSandbox": _Kind(_sandbox_trial, {}, process=True),
+}
+
+
+def _safe_trial(config: ExperimentConfig, ctx: _ScheduleContext,
+                trial_index: int, seed: int) -> TrialRecord:
+    kind = _KINDS[config.experiment_kind]
     base = dict(experiment_id=config.experiment_id, n=ctx.n, d=ctx.d, m=ctx.m,
-                seed=seed, trial_index=trial_index, ell_k=ctx.ell_k, d_star=ctx.d_star)
-    dist = cfg.get("distortionMethod") or {}
-    starts = dist.get("starts", 32)
-
-    if kind == "gaussianDM":
-        gamma = sample_matrix(EnsembleSpec("GaussianIID", ctx.n, ctx.d), child_seed(seed, 0))
-        rep = measure_distortion(ctx.body, gamma, dist["method"], net=ctx.net,
-                                 starts=starts, seed=child_seed(seed, 1), ell_k=ctx.ell_k)
-        return TrialRecord(**base, sup_est=rep.sup_est, inf_est=rep.inf_est,
-                           ratio=rep.ratio,
-                           method_tags=f"sup={rep.sup_method};inf={rep.inf_method}")
-
-    if kind == "cubeCounterexample":
-        single = cfg.get("ensembles", {}).get("single", "UniformPM1")
-        M = sample_matrix(EnsembleSpec(single, ctx.n, ctx.d), child_seed(seed, 0))
-        wit = adversarial_linf_witness(M)
-        if dist:
-            # Full estimator pair, for use as a control against product runs.
-            rep = measure_distortion(ctx.body, M, dist["method"], starts=starts,
-                                     seed=child_seed(seed, 1), ell_k=ctx.ell_k)
-            return TrialRecord(**base, sup_est=rep.sup_est, inf_est=rep.inf_est,
-                               ratio=rep.ratio, witness_ratio=wit.ratio,
-                               method_tags=f"sup={rep.sup_method};inf={rep.inf_method};"
-                                           "witness=signAligned")
-        sup_est = float(np.linalg.norm(M, axis=1).max())
-        inf_est = wit.phi_e1
-        return TrialRecord(**base, sup_est=sup_est, inf_est=inf_est,
-                           ratio=sup_est / inf_est if inf_est > 0 else math.inf,
-                           witness_ratio=wit.ratio,
-                           method_tags="sup=exactRowNorm;inf=axisProbeE1;witness=signAligned")
-
-    if kind in _PRODUCT_DEFAULTS:
-        row_default, col_default = _PRODUCT_DEFAULTS[kind]
-        ens = cfg.get("ensembles", {})
-        pspec = product_spec(ens.get("row", row_default), ens.get("col", col_default),
-                             n=ctx.n, d=ctx.d, m=ctx.m)
-        gamma, _, _ = sample_product(pspec, child_seed(seed, 0))
-        rep = measure_distortion(ctx.body, gamma, dist["method"], net=ctx.net,
-                                 starts=starts, seed=child_seed(seed, 1), ell_k=ctx.ell_k)
-        return TrialRecord(**base, sup_est=rep.sup_est, inf_est=rep.inf_est,
-                           ratio=rep.ratio,
-                           method_tags=f"sup={rep.sup_method};inf={rep.inf_method}")
-
-    if kind == "eventAFrequency":
-        consts = cfg.get("constants", {})
-        col = cfg.get("ensembles", {}).get("col", "UniformIsotropic")
-        spec = EnsembleSpec(col, rows=ctx.d, cols=ctx.m, vector_axis="cols")
-        gamma2 = sample_matrix(spec, child_seed(seed, 0))
-        rep = check_event_A(gamma2, consts.get("kappa1", 2.0), ctx.delta, ctx.theta,
-                            method="greedy", restarts=consts.get("restarts", 20),
-                            seed=child_seed(seed, 1))
-        k_main = max(1, rep.k_event)
-        return TrialRecord(**base, sup_est=rep.sparse_sup[k_main],
-                           event_a_holds=rep.event_a_holds,
-                           method_tags=f"sparse={rep.sparse_methods[k_main]};k={k_main};"
-                                       f"kappa1Measured={rep.kappa1_measured:.6g}")
-
-    if kind == "processSandbox":
-        proc = cfg.get("process", {})
-        rng = np.random.default_rng(child_seed(seed, 0))
-        P = rng.standard_normal((ctx.m, ctx.d))
-        T = index_set(P)
-        sup = emp_sup("gaussian", T, trials=proc.get("supTrials", 2000),
-                      seed=child_seed(seed, 1))
-        sud = sudakov_lower(T)
-        return TrialRecord(**base, sup_est=sup.value, inf_est=sud,
-                           ratio=sup.value / sud if sud > 0 else math.inf,
-                           method_tags="sup=empSupGaussianMC;inf=sudakovLower")
-
-    raise ConfigError(f"unhandled experiment kind {kind}")
-
-
-def _safe_trial(config, ctx, trial_index, seed) -> TrialRecord:
+                seed=seed, trial_index=trial_index)
     t0 = time.perf_counter()
     try:
-        rec = _run_trial(config, ctx, trial_index, seed)
+        laws = {**kind.laws, **config.raw.get("ensembles", {})}
+        rec = TrialRecord(**base, ell_k=ctx.ell_k, d_star=ctx.d_star,
+                          **kind.trial(config.raw, ctx, seed, laws))
     except Exception as exc:  # per-trial failures become rows, never aborts
-        rec = TrialRecord(experiment_id=config.experiment_id, n=ctx.n, d=ctx.d,
-                          m=ctx.m, seed=seed, trial_index=trial_index,
-                          error=f"{type(exc).__name__}: {exc}")
+        rec = TrialRecord(**base, error=f"{type(exc).__name__}: {exc}")
     if config.record_timing:
-        rec = TrialRecord(**{**rec.__dict__, "elapsed_ms": (time.perf_counter() - t0) * 1e3})
+        rec = replace(rec, elapsed_ms=(time.perf_counter() - t0) * 1e3)
     return rec
 
 
@@ -442,11 +462,8 @@ def run_experiment(config: ExperimentConfig | dict, out_dir=".", threads: int = 
     out_dir.mkdir(parents=True, exist_ok=True)
 
     contexts = [_schedule_context(config, i) for i in range(len(config.schedule))]
-    tasks = []
-    for i, ctx in enumerate(contexts):
-        for j in range(config.trials):
-            t = i * config.trials + j
-            tasks.append((ctx, t, child_seed(config.master_seed, t)))
+    per_trial = (ctx for ctx in contexts for _ in range(config.trials))
+    tasks = [(ctx, t, child_seed(config.master_seed, t)) for t, ctx in enumerate(per_trial)]
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -482,9 +499,9 @@ def run_experiment(config: ExperimentConfig | dict, out_dir=".", threads: int = 
 
     summary = {"configEcho": config.raw, "series": series,
                "calibration": calibration_block()}
-
-    if config.experiment_kind == "processSandbox":
-        summary["tail"] = _sandbox_tail(config, contexts[0])
+    tables = [r.tail for r in records if r.tail is not None]
+    if tables:
+        summary["tail"] = _sandbox_tail(tables)
 
     with summary_path.open("w", encoding="utf-8") as f:
         json.dump(summary, f, indent=2)
@@ -495,23 +512,10 @@ def run_experiment(config: ExperimentConfig | dict, out_dir=".", threads: int = 
                      summary=summary, records=records, failures=failures)
 
 
-def _sandbox_tail(config: ExperimentConfig, ctx: _ScheduleContext) -> list:
-    """Average Bernoulli-sup tail across the sweep's index sets (x in sigma* units)."""
-    proc = config.raw.get("process", {})
-    inner = proc.get("innerTrials", 10000)
-    acc = None
-    mults = None
-    for t in range(config.trials):
-        seed = child_seed(config.master_seed, t)
-        rng = np.random.default_rng(child_seed(seed, 0))
-        P = rng.standard_normal((ctx.m, ctx.d))
-        table = concentration_check(index_set(P), trials=inner, seed=child_seed(seed, 2))
-        emp = table.empirical
-        if acc is None:
-            acc = np.zeros_like(emp)
-            mults = table.x / table.sigma_star
-        acc += emp
-    acc /= config.trials
+def _sandbox_tail(tables: list) -> list:
+    """Bernoulli-sup tail averaged in trial order over the trials' tables (x in sigma* units)."""
+    acc = sum(table.empirical for table in tables) / len(tables)
+    mults = tables[0].x / tables[0].sigma_star
     bound = 2.0 * np.exp(-CONCENTRATION_C * mults**2)
     return [{"x": float(x), "empirical": float(e), "bound": float(b)}
             for x, e, b in zip(mults, acc, bound)]
@@ -519,8 +523,7 @@ def _sandbox_tail(config: ExperimentConfig, ctx: _ScheduleContext) -> list:
 
 def load_trial_rows(csv_path) -> list:
     with Path(csv_path).open("r", newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        return list(reader)
+        return list(csv.DictReader(f))
 
 
 def verify_summary(csv_path, summary: dict) -> bool:
@@ -530,12 +533,9 @@ def verify_summary(csv_path, summary: dict) -> bool:
         vals = [float(r["ratio"]) for r in rows
                 if int(r["n"]) == entry["n"] and not r["error"] and r["ratio"]]
         vals = [v for v in vals if math.isfinite(v)]
-        med = float(np.median(vals)) if vals else None
-        if med is None and entry["medianRatio"] is None:
-            continue
-        if med is None or entry["medianRatio"] is None:
-            return False
-        if not math.isclose(med, entry["medianRatio"], rel_tol=1e-12, abs_tol=1e-12):
+        med, ref = (float(np.median(vals)) if vals else None), entry["medianRatio"]
+        if (med is None) != (ref is None) or (
+                med is not None and not math.isclose(med, ref, rel_tol=1e-12, abs_tol=1e-12)):
             return False
     return True
 
@@ -563,17 +563,12 @@ def emit_plot_data(summary, plot_kind: str, out_path) -> Path:
         if not series:
             raise ConfigError("summary lacks the 'series' list")
         x_key = "n" if plot_kind == "ratioVsN" else "d"
-        use_witness = plot_kind == "ratioVsD" and any("medianWitnessRatio" in e for e in series)
-        rows = []
-        for e in series:
-            if use_witness:
-                med, lo, hi = e.get("medianWitnessRatio"), e.get("witnessQ25"), e.get("witnessQ75")
-            else:
-                med, lo, hi = e.get("medianRatio"), e.get("q25"), e.get("q75")
-            if med is None:
-                raise ConfigError(
-                    f"summary lacks the 'medianRatio' series required by {plot_kind}")
-            rows.append([e[x_key], med, lo, hi])
+        keys = ("medianRatio", "q25", "q75")
+        if plot_kind == "ratioVsD" and any("medianWitnessRatio" in e for e in series):
+            keys = ("medianWitnessRatio", "witnessQ25", "witnessQ75")
+        rows = [[e[x_key], *(e.get(k) for k in keys)] for e in series]
+        if any(row[1] is None for row in rows):
+            raise ConfigError(f"summary lacks the 'medianRatio' series required by {plot_kind}")
         header = [x_key, "median", "q25", "q75"]
 
     with out_path.open("w", newline="", encoding="utf-8") as f:

@@ -1,16 +1,21 @@
-"""Deterministic seed streams.
+"""Deterministic seed streams and the chunked Monte-Carlo loop.
 
 Every stochastic routine takes an explicit 64-bit seed.  Parallel work is
 partitioned by index: `child_seed(master, index)` derives an independent
 stream per trial, so results are reproducible for a fixed master seed
-regardless of scheduling or thread count.
+regardless of scheduling or thread count.  Monte-Carlo estimators draw their
+samples in chunks of `MC_CHUNK` and reduce the chunks in order, so a fixed
+seed gives bit-identical output.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _U64 = np.uint64
+MC_CHUNK = 4096
 
 
 def child_seed(master: int, index: int) -> int:
@@ -21,6 +26,21 @@ def child_seed(master: int, index: int) -> int:
     return int(ss.generate_state(1, _U64)[0])
 
 
-def rng_from(master: int, index: int = 0) -> np.random.Generator:
-    """Generator for sub-stream `index` of `master`."""
-    return np.random.default_rng(child_seed(master, index))
+def mc_chunks(trials: int, draw):
+    """Yield `draw(count)` for consecutive chunks of at most MC_CHUNK samples."""
+    done = 0
+    while done < trials:
+        count = min(MC_CHUNK, trials - done)
+        yield draw(count)
+        done += count
+
+
+def mc_mean(trials: int, draw) -> tuple[float, float]:
+    """Sample mean of `trials` values drawn chunkwise, and its standard error."""
+    total = total_sq = 0.0
+    for vals in mc_chunks(trials, draw):
+        total += vals.sum()
+        total_sq += (vals**2).sum()
+    mean = total / trials
+    var = max(0.0, (total_sq - trials * mean**2) / max(trials - 1, 1))
+    return mean, math.sqrt(var / trials)

@@ -29,6 +29,51 @@ BASE_CFG = {
 
 DEMO_CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
+SANDBOX_CFG = {
+    "experimentKind": "processSandbox",
+    "schedule": [1],
+    "dRule": {"rule": "fixed", "d": 8},
+    "trials": 2,
+    "masterSeed": 1,
+    "process": {"setSize": 16, "setDim": 8, "innerTrials": 10000, "supTrials": 1000},
+}
+
+# One small config per experiment kind.
+KIND_CFGS = {
+    "gaussianDM": BASE_CFG,
+    "cubeCounterexample": {
+        "experimentKind": "cubeCounterexample", "body": {"kind": "LpBall", "p": "inf"},
+        "schedule": [32, 64], "dRule": {"rule": "fixedPerN", "values": [4, 8]},
+        "trials": 3, "masterSeed": 3,
+        "distortionMethod": {"method": "exactRowNorm", "starts": 8},
+    },
+    "productUniform": {
+        "experimentKind": "productUniform", "body": {"kind": "LpBall", "p": "inf"},
+        "schedule": [32, 64], "dRule": {"rule": "logN", "c": 1.0},
+        "mRule": {"rule": "multipleOfN", "c": 2.0}, "trials": 3, "masterSeed": 4,
+        "distortionMethod": {"method": "exactRowNorm", "starts": 8},
+    },
+    "productLogConcave": {
+        "experimentKind": "productLogConcave", "body": {"kind": "LpBall", "p": "inf"},
+        "schedule": [32], "dRule": {"rule": "fixed", "d": 2},
+        "mRule": {"rule": "fixed", "m": 48}, "trials": 3, "masterSeed": 5,
+        "distortionMethod": {"method": "netCertified", "rho": 0.3, "candidateBudget": 5000},
+    },
+    "productHeavyTailed": {
+        "experimentKind": "productHeavyTailed", "body": {"kind": "LpBall", "p": 3},
+        "schedule": [32], "dRule": {"rule": "fractionOfDStar", "c": 0.2},
+        "mRule": {"rule": "fixed", "m": 40}, "trials": 3, "masterSeed": 6,
+        "distortionMethod": {"method": "multiStartOpt", "starts": 8},
+    },
+    "eventAFrequency": {
+        "experimentKind": "eventAFrequency", "body": {"kind": "LpBall", "p": 2},
+        "schedule": [64], "dRule": {"rule": "fixed", "d": 8},
+        "mRule": {"rule": "fixed", "m": 64}, "trials": 3, "masterSeed": 7,
+        "constants": {"theta": 3.5 / 64, "delta": 0.2, "kappa1": 2.0, "restarts": 3},
+    },
+    "processSandbox": {**SANDBOX_CFG, "schedule": [1, 2], "trials": 3},
+}
+
 
 def test_validation_rejects_unknown_and_bad_fields():
     with pytest.raises(ConfigError, match="unknown fields"):
@@ -55,18 +100,63 @@ def test_validation_rejects_unknown_and_bad_fields():
                       "distortionMethod": {"method": "exactRowNorm"}})
     with pytest.raises(ConfigError, match="values"):
         parse_config({**BASE_CFG, "dRule": {"rule": "fixedPerN", "values": [1, 2]}})
+    # The cube kind reports l_inf quantities, so any other body is mislabelled.
+    with pytest.raises(ConfigError, match=r"requires body LpBall\(inf, n\)"):
+        cube = {k: v for k, v in KIND_CFGS["cubeCounterexample"].items()
+                if k != "distortionMethod"}
+        parse_config({**cube, "body": {"kind": "LpBall", "p": 2}})
 
 
-def test_byte_identical_across_threads_and_reruns(tmp_path):
-    r1 = run_experiment(BASE_CFG, out_dir=tmp_path / "a", threads=1)
-    r2 = run_experiment(BASE_CFG, out_dir=tmp_path / "b", threads=8)
-    r3 = run_experiment(BASE_CFG, out_dir=tmp_path / "c", threads=1)
-    csv_bytes = (tmp_path / "a" / "trials.csv").read_bytes()
-    assert csv_bytes == (tmp_path / "b" / "trials.csv").read_bytes()
-    assert csv_bytes == (tmp_path / "c" / "trials.csv").read_bytes()
-    assert (tmp_path / "a" / "summary.json").read_bytes() == \
-        (tmp_path / "b" / "summary.json").read_bytes()
-    assert r1.failures == r2.failures == 0
+@pytest.mark.parametrize("change, match", [
+    ({"process": {"innerTrials": 100}}, "innerTrials"),
+    ({"process": {"setDim": "8"}}, "setDim"),
+    ({"process": {"setSize": 0}}, "setSize"),
+    ({"process": {"supTrials": 1.5}}, "supTrials"),
+    ({"process": ["setDim"]}, "process must be a JSON object"),
+    ({"constants": ["rho"]}, "constants must be a JSON object"),
+    ({"trials": True}, "trials"),
+    ({"masterSeed": False}, "masterSeed"),
+    ({"distortionMethod": {"method": "exactSpectral"}}, "takes no distortionMethod"),
+    ({"body": {"kind": "LpBall", "p": 2}}, "takes no body"),
+    ({"outputs": {"csv": 5}}, "outputs"),
+])
+def test_validation_rejects_sandbox_gaps(change, match):
+    with pytest.raises(ConfigError, match=match):
+        parse_config({**SANDBOX_CFG, **change})
+
+
+def test_validation_rejects_event_gaps():
+    cfg = KIND_CFGS["eventAFrequency"]
+    with pytest.raises(ConfigError, match="takes no distortionMethod"):
+        parse_config({**cfg, "distortionMethod": {"method": "exactSpectral"}})
+    with pytest.raises(ConfigError, match="constants must be numbers"):
+        parse_config({**cfg, "constants": {"theta": "0.05", "delta": 0.2}})
+    with pytest.raises(ConfigError, match="dRule.d"):
+        parse_config({**cfg, "dRule": {"rule": "fixed", "d": True}})
+
+
+def test_sandbox_accepts_a_d_rule():
+    assert parse_config(SANDBOX_CFG).experiment_kind == "processSandbox"
+
+
+def test_cli_rejects_bad_constants_with_exit_2(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**KIND_CFGS["eventAFrequency"], "constants": ["rho"]}))
+    assert cli_main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_CFGS))
+def test_byte_identical_across_threads_and_reruns(tmp_path, kind):
+    cfg = KIND_CFGS[kind]
+    r1 = run_experiment(cfg, out_dir=tmp_path / "a", threads=1)
+    r2 = run_experiment(cfg, out_dir=tmp_path / "b", threads=4)
+    r3 = run_experiment(cfg, out_dir=tmp_path / "c", threads=1)
+    for name in ("trials.csv", "summary.json"):
+        first = (tmp_path / "a" / name).read_bytes()
+        assert first == (tmp_path / "b" / name).read_bytes()
+        assert first == (tmp_path / "c" / name).read_bytes()
+    assert r1.failures == r2.failures == r3.failures == 0
 
 
 def test_csv_format(tmp_path):
@@ -158,15 +248,7 @@ def test_event_frequency_kind(tmp_path):
 
 
 def test_process_sandbox_and_tail_curve(tmp_path):
-    cfg = {
-        "experimentKind": "processSandbox",
-        "schedule": [1],
-        "dRule": {"rule": "fixed", "d": 8},
-        "trials": 2,
-        "masterSeed": 1,
-        "process": {"setSize": 16, "setDim": 8, "innerTrials": 10000, "supTrials": 1000},
-    }
-    res = run_experiment(cfg, out_dir=tmp_path)
+    res = run_experiment(SANDBOX_CFG, out_dir=tmp_path)
     assert res.failures == 0
     assert "tail" in res.summary
     out = emit_plot_data(res.summary, "tailCurve", tmp_path / "t.csv")
@@ -175,6 +257,17 @@ def test_process_sandbox_and_tail_curve(tmp_path):
     assert len(lines) == 7
     emp = [float(l.split(",")[1]) for l in lines[1:]]
     assert all(b <= a + 1e-12 for a, b in zip(emp, emp[1:]))
+
+
+def test_sandbox_tail_averages_every_trial(tmp_path):
+    res = run_experiment(KIND_CFGS["processSandbox"], out_dir=tmp_path)
+    assert len(res.records) == 6
+    tables = [r.tail for r in res.records]
+    expected = np.mean([t.empirical for t in tables], axis=0)
+    got = [row["empirical"] for row in res.summary["tail"]]
+    np.testing.assert_allclose(got, expected, rtol=1e-12)
+    assert [row["x"] for row in res.summary["tail"]] == pytest.approx(
+        [0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
 
 
 def test_plot_data_kinds_and_errors(tmp_path):
