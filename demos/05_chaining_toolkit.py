@@ -20,14 +20,14 @@ from dmlab import (
     index_set,
     sudakov_lower,
 )
-from dmlab.calibration import C_CHAIN, C_SUD
+from dmlab.calibration import C_CHAIN
 
 print("=== sandwich on random 32-point sets in R^8 ===")
 print(f"{'seed':>4} {'sudakov':>8} {'E sup (MC)':>12} {'gamma2 upper':>13} {'sandwich ok':>12}")
 for s in range(6):
     T = index_set(np.random.default_rng(s).standard_normal((32, 8)))
     est = emp_sup("gaussian", T, trials=5000, seed=s)
-    lo = sudakov_lower(T, C_SUD)
+    lo = sudakov_lower(T)
     hi, _ = gamma2_upper(T)
     ok = lo <= est.value + 4 * est.stderr and est.value <= C_CHAIN * hi
     print(f"{s:>4} {lo:>8.3f} {est.value:>9.3f} +- {est.stderr:.3f} "

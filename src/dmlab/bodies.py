@@ -91,7 +91,7 @@ def _check_input(body: ConvexBody, X: np.ndarray) -> None:
 
 
 def norm_many(body: ConvexBody, X: np.ndarray) -> np.ndarray:
-    """K-norms of the rows of X (shape (k, n)); vectorized form of `norm_K`."""
+    """||x||_K for each row x of X (shape (k, n)), K being the body's unit ball."""
     X = np.asarray(X, dtype=float)
     _check_input(body, X)
     if isinstance(body, LpBall):
@@ -107,14 +107,6 @@ def norm_many(body: ConvexBody, X: np.ndarray) -> np.ndarray:
     if isinstance(body, DiagonalImage):
         return norm_many(body.base, X / body.scales)
     raise TypeError(f"unsupported body {type(body).__name__}")
-
-
-def norm_K(body: ConvexBody, x) -> float:
-    """||x||_K, the norm whose unit ball is the body."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("norm_K expects a single vector; use norm_many for batches")
-    return float(norm_many(body, x[None, :])[0])
 
 
 def _scaled_dual_sup(body: ConvexBody, w: np.ndarray) -> float:

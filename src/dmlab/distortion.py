@@ -1,7 +1,8 @@
 """Distortion of x -> ||Gamma x||_K over the unit sphere of R^d.
 
 Four estimators, each labeled in the report so downstream comparisons never
-mix certified and heuristic numbers:
+mix certified and heuristic numbers.  The two exact ones need the LpBall p
+that `EXACT_METHOD_P` names, the one table the config parser checks too:
 
   exactSpectral  LpBall(2, n) bodies; the extremes are the singular values.
   exactRowNorm   LpBall(inf, n) bodies; the supremum equals the largest row
@@ -10,7 +11,8 @@ mix certified and heuristic numbers:
   netCertified   evaluates the norm on a separated sphere net and applies the
                  convexity correction: with M = net max and slack
                  s = rho * M / (1 - rho), [net min - s, net max + s] brackets
-                 the true [inf, sup].  True bounds, practical only for small d.
+                 the true [inf, sup].  True bounds, practical only for small d;
+                 refused when the net's probed covering radius exceeds rho.
   multiStartOpt  projected subgradient ascent/descent from random plus axis
                  starts with per-start step halving; a start retires once
                  its step is below 1e-12.  Heuristic on both sides.
@@ -27,13 +29,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dmlab.bodies import ConvexBody, DiagonalImage, LpBall, PolarPolytope, mean_width_auto, norm_many
+from dmlab.bodies import ConvexBody, DiagonalImage, LpBall, PolarPolytope, norm_many
 from dmlab.events import singular_extremes
 from dmlab.nets import SphereNet
 from dmlab.seeding import child_seed
 
 _PHI_FLOOR = 1e-300
 _OPT_ITERS = 500  # iteration cap of each multi-start descent in measure_distortion
+
+# The LpBall p that each exact method needs.
+EXACT_METHOD_P = {"exactSpectral": 2.0, "exactRowNorm": math.inf}
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,17 +48,9 @@ class DistortionReport:
     sup_method: str
     inf_method: str
     ratio: float
-    ell_k: float
-    normalized_sup: float
-    normalized_inf: float
-    seed: int
     net_max: float | None = None
     net_min: float | None = None
     lipschitz_slack: float | None = None
-    rho: float | None = None
-    net_size: int | None = None
-    starts: int | None = None
-    warning: bool = False
 
 
 def _pullback_subgradients(body: ConvexBody, P: np.ndarray, gamma: np.ndarray,
@@ -86,7 +83,7 @@ def _pullback_subgradients(body: ConvexBody, P: np.ndarray, gamma: np.ndarray,
 
 
 def _multistart(body: ConvexBody, gamma: np.ndarray, starts: int, seed: int,
-                mode: int, iters: int = 500) -> float:
+                mode: int, iters: int = _OPT_ITERS) -> float:
     """Best value found by projected subgradient ascent (+1) or descent (-1).
 
     P = X @ Gamma^T is kept for every start and updated from the candidate
@@ -130,35 +127,28 @@ def measure_distortion(
     net: SphereNet | None = None,
     starts: int = 32,
     seed: int = 0,
-    ell_k: float | None = None,
 ) -> DistortionReport:
-    """Sup/inf of the embedded norm over the sphere, normalized by ell(K)."""
+    """Sup/inf of ||Gamma x||_K over the unit sphere of R^d, with method tags."""
     gamma = np.asarray(gamma, dtype=float)
     n, d = gamma.shape
     if body.n != n:
         raise ValueError(f"body dimension {body.n} does not match Gamma rows {n}")
-    if ell_k is None:
-        ell_k = mean_width_auto(body, seed=child_seed(seed, 7))[0]
+    need_p = EXACT_METHOD_P.get(method)
+    if need_p is not None and not (isinstance(body, LpBall) and body.p == need_p):
+        raise ValueError(f"{method} requires an LpBall({need_p:g}, n) body")
 
     extras: dict = {}
-    warning = False
-
     if method == "exactSpectral":
-        if not (isinstance(body, LpBall) and body.p == 2.0):
-            raise ValueError("exactSpectral requires an LpBall(2, n) body")
         inf_est, sup_est = singular_extremes(gamma)
         sup_method = inf_method = "exactSpectral"
 
     elif method in ("exactRowNorm", "multiStartOpt"):
         sup_method = inf_method = f"multiStartOpt({starts})"
-        if method == "multiStartOpt":
-            sup_est = _multistart(body, gamma, starts, child_seed(seed, 0), +1, _OPT_ITERS)
-        elif isinstance(body, LpBall) and math.isinf(body.p):
+        if method == "exactRowNorm":
             sup_est, sup_method = float(np.linalg.norm(gamma, axis=1).max()), "exactRowNorm"
         else:
-            raise ValueError("exactRowNorm requires an LpBall(inf, n) body")
-        inf_est = _multistart(body, gamma, starts, child_seed(seed, 1), -1, _OPT_ITERS)
-        extras["starts"] = starts
+            sup_est = _multistart(body, gamma, starts, child_seed(seed, 0), +1)
+        inf_est = _multistart(body, gamma, starts, child_seed(seed, 1), -1)
 
     elif method == "netCertified":
         if net is None:
@@ -173,26 +163,19 @@ def measure_distortion(
         sup_est = net_max + slack
         inf_est = net_min - slack
         assert sup_est >= net_max and inf_est <= net_min, "slack must widen the bracket"
-        warning = inf_est <= 0.0
-        tag = f"netCertified(rho={net.rho:g},size={net.size})"
-        sup_method = inf_method = tag
-        extras.update(net_max=net_max, net_min=net_min, lipschitz_slack=slack,
-                      rho=net.rho, net_size=net.size)
+        sup_method = inf_method = f"netCertified(rho={net.rho:g},size={net.size})"
+        extras.update(net_max=net_max, net_min=net_min, lipschitz_slack=slack)
 
     else:
         raise ValueError(f"unknown distortion method {method!r}")
 
     ratio = sup_est / inf_est if inf_est > 0.0 else math.inf
-    return DistortionReport(
-        sup_est=sup_est, inf_est=inf_est, sup_method=sup_method, inf_method=inf_method,
-        ratio=ratio, ell_k=ell_k, normalized_sup=sup_est / ell_k,
-        normalized_inf=inf_est / ell_k, seed=seed, warning=warning, **extras,
-    )
+    return DistortionReport(sup_est=sup_est, inf_est=inf_est, sup_method=sup_method,
+                            inf_method=inf_method, ratio=ratio, **extras)
 
 
 @dataclass(frozen=True, eq=False)
 class WitnessReport:
-    i_star: int
     eta: np.ndarray
     phi_witness: float
     phi_e1: float
@@ -215,5 +198,4 @@ def adversarial_linf_witness(M) -> WitnessReport:
         ratio = math.inf if phi_w > 0.0 else 0.0
     else:
         ratio = phi_w / phi_e1
-    return WitnessReport(i_star=i_star, eta=eta, phi_witness=phi_w,
-                         phi_e1=phi_e1, ratio=ratio)
+    return WitnessReport(eta=eta, phi_witness=phi_w, phi_e1=phi_e1, ratio=ratio)

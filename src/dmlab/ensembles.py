@@ -201,7 +201,6 @@ def marginal_diagnostics(
     trials: int,
     seed: int,
     q: float = 4.0,
-    paouris_c1: float = PAOURIS_C1,
 ) -> MarginalDiagnostics:
     """Probe isotropy, moment growth, small-ball mass and norm tails.
 
@@ -240,10 +239,10 @@ def marginal_diagnostics(
 
     small_ball = {float(k): float((abs_proj <= k).mean(axis=0).max()) for k in _KAPPA_GRID}
     norms = np.linalg.norm(Y, axis=1)
-    tail = {float(u): float((norms >= paouris_c1 * u * math.sqrt(dim)).mean()) for u in _U_GRID}
+    tail = {float(u): float((norms >= PAOURIS_C1 * u * math.sqrt(dim)).mean()) for u in _U_GRID}
 
     return MarginalDiagnostics(
         dim=dim, trials=trials, isotropy_error=iso_err, psi2_estimate=psi2,
         q=q, lq_l2_ratio=lq_ratio, small_ball=small_ball, norm_tail=tail,
-        paouris_c1=paouris_c1,
+        paouris_c1=PAOURIS_C1,
     )

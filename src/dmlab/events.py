@@ -193,7 +193,6 @@ class EventReport:
     sparse_methods: dict           # k -> "exact" | "greedy"
     k_event: int                   # floor(theta * m); 0 means the constraint is vacuous
     event_a_holds: bool
-    parameters: dict               # kappa1, delta, theta, m, d
 
 
 def check_event_A(
@@ -201,7 +200,6 @@ def check_event_A(
     kappa1: float,
     delta: float,
     theta: float,
-    method: str = "greedy",
     restarts: int = 20,
     seed: int = 0,
 ) -> EventReport:
@@ -220,15 +218,14 @@ def check_event_A(
     if kappa1 < 1.0:
         raise ValueError("kappa1 must be >= 1")
     X = np.asarray(gamma2, dtype=float)
-    d, m = X.shape
+    _, m = X.shape
     sqrt_m = math.sqrt(m)
 
     smin, smax = singular_extremes(X)
     k_event = int(theta * m)
     k_main = max(1, k_event)
 
-    main = sparse_supremum(X, k_main, method=method, restarts=restarts,
-                           seed=child_seed(seed, 1))
+    main = sparse_supremum(X, k_main, restarts=restarts, seed=child_seed(seed, 1))
 
     grid = sorted({1, k_main, m} | {2**j for j in range(1, int(math.log2(m)) + 1)})
     profile = _nested_greedy_profile(X, [k for k in grid if k < m])
@@ -254,5 +251,4 @@ def check_event_A(
         sparse_methods=methods,
         k_event=k_event,
         event_a_holds=holds,
-        parameters={"kappa1": kappa1, "delta": delta, "theta": theta, "m": m, "d": d},
     )

@@ -3,8 +3,8 @@
 A rho-net here is a maximal rho-separated subset of the candidate pool (axis
 points plus uniform random sphere points), so separation is certified by
 construction while maximality with respect to the whole sphere is only
-approximate; the covering radius is estimated on a fresh probe sample and a
-warning flag is raised when the estimate exceeds rho.
+approximate; the covering radius is estimated on a fresh probe sample, and
+`measure_distortion` refuses to certify with a net whose estimate exceeds rho.
 
 The greedy pass rejects candidates in blocks: one matmul against the points
 accepted so far drops every candidate of a block that an earlier accept
@@ -18,7 +18,6 @@ therefore the sequential greedy's, point for point and in the same order.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +33,7 @@ class SphereNet:
     dim: int
     rho: float
     points: np.ndarray              # (size, dim), unit rows
-    separation_certified: bool
     covering_radius_estimate: float
-    covering_warning: bool          # estimate exceeded rho
 
     @property
     def size(self) -> int:
@@ -104,13 +101,7 @@ def build_sphere_net(
     best_dot = (probes @ points.T).max(axis=1)
     covering = float(np.sqrt(np.maximum(0.0, 2.0 - 2.0 * best_dot)).max())
 
-    warn = covering > rho
-    if warn:
-        warnings.warn(
-            f"net covering radius estimate {covering:.4f} exceeds rho={rho}; "
-            "increase candidate_budget", stacklevel=2)
-    return SphereNet(dim=dim, rho=rho, points=points, separation_certified=True,
-                     covering_radius_estimate=covering, covering_warning=warn)
+    return SphereNet(dim=dim, rho=rho, points=points, covering_radius_estimate=covering)
 
 
 def farthest_first(dist_from, start: int, limit: int) -> tuple[list, np.ndarray]:

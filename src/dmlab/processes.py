@@ -176,8 +176,8 @@ def gamma2_upper(T: FiniteIndexSet) -> tuple[float, AdmissibleSequence]:
     return value, AdmissibleSequence(levels, assignments, tuple(caps))
 
 
-def sudakov_lower(T: FiniteIndexSet, c_sud: float = C_SUD) -> float:
-    """Packing-number lower bound max_eps c_sud * eps * sqrt(log N(eps)).
+def sudakov_lower(T: FiniteIndexSet) -> float:
+    """Packing-number lower bound max_eps C_SUD * eps * sqrt(log N(eps)).
 
     eps ranges over distinct quantiles of the positive pairwise distances;
     N(eps) is the greedy maximal eps-separated subset size read off one
@@ -197,7 +197,7 @@ def sudakov_lower(T: FiniteIndexSet, c_sud: float = C_SUD) -> float:
     for eps in np.unique(np.quantile(dists, np.linspace(0.05, 0.95, 19))):
         N = int((radii >= eps).sum())
         if N >= 2:
-            best = max(best, c_sud * eps * math.sqrt(math.log(N)))
+            best = max(best, C_SUD * eps * math.sqrt(math.log(N)))
     return best
 
 
@@ -207,7 +207,6 @@ class TailTable:
     empirical: np.ndarray
     bound: np.ndarray
     sigma_star: float
-    c: float
     sup_mean: float
 
 
@@ -215,12 +214,11 @@ def concentration_check(
     T: FiniteIndexSet,
     trials: int = 10000,
     seed: int = 0,
-    c: float = CONCENTRATION_C,
 ) -> TailTable:
     """Empirical two-sided tails of the Bernoulli supremum vs the gaussian-shape bound.
 
     Rows pair x (multiples of sigma* = max_v ||v||_2) with the observed
-    P(|sup - mean| > x) and the reference 2 exp(-c x^2 / sigma*^2).
+    P(|sup - mean| > x) and the reference 2 exp(-CONCENTRATION_C x^2 / sigma*^2).
     """
     if trials < 10**4:
         raise ValueError("concentration_check needs trials >= 1e4")
@@ -232,8 +230,9 @@ def concentration_check(
     dev = np.abs(sups - mean)
     xs = np.array([m * sigma for m in _TAIL_MULTIPLES])
     emp = np.array([float((dev > x).mean()) for x in xs])
-    bound = 2.0 * np.exp(-c * xs**2 / sigma**2) if sigma > 0 else np.full_like(xs, 2.0)
-    return TailTable(x=xs, empirical=emp, bound=bound, sigma_star=sigma, c=c, sup_mean=mean)
+    bound = (2.0 * np.exp(-CONCENTRATION_C * xs**2 / sigma**2) if sigma > 0
+             else np.full_like(xs, 2.0))
+    return TailTable(x=xs, empirical=emp, bound=bound, sigma_star=sigma, sup_mean=mean)
 
 
 def bernoulli_gaussian_ratio(T: FiniteIndexSet, trials: int = 10000, seed: int = 0) -> float:

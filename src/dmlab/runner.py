@@ -32,7 +32,7 @@ import numpy as np
 
 from dmlab.bodies import LpBall, dual_norm_sup, mean_width_auto, polar_polytope
 from dmlab.calibration import CONCENTRATION_C, calibration_block
-from dmlab.distortion import adversarial_linf_witness, measure_distortion
+from dmlab.distortion import EXACT_METHOD_P, adversarial_linf_witness, measure_distortion
 from dmlab.ensembles import KINDS as ENSEMBLE_KINDS
 from dmlab.ensembles import EnsembleSpec, product_spec, sample_matrix, sample_product
 from dmlab.events import check_event_A
@@ -59,9 +59,6 @@ _TOP_KEYS = {
 }
 
 _PROCESS_DEFAULTS = {"setSize": 32, "setDim": 16, "innerTrials": 10_000, "supTrials": 2000}
-
-# The LpBall p that an exact distortion method needs (measure_distortion checks it too).
-_METHOD_P = {"exactSpectral": 2, "exactRowNorm": "inf"}
 
 
 def _expect_keys(d, allowed: set, ctx: str) -> None:
@@ -169,13 +166,13 @@ def parse_config(cfg: dict) -> ExperimentConfig:
             raise ConfigError("body.kind must be 'LpBall' or 'PolarPolytope'")
 
     _check_rule(cfg, "dRule", _D_RULES, len(schedule))
-    if cfg.get("mRule") is not None:
+    _require((cfg.get("mRule") is not None) == kind.m_rule,
+             f"{name} {'requires an' if kind.m_rule else 'takes no'} mRule")
+    if kind.m_rule:
         _check_rule(cfg, "mRule", _M_RULES, len(schedule))
-    else:
-        _require(not kind.m_rule, f"{name} requires an mRule")
 
     ens = cfg.get("ensembles", {})
-    _expect_keys(ens, {"row", "col", "single"}, "ensembles")
+    _expect_keys(ens, set(kind.laws), "ensembles")
     for slot, val in ens.items():
         _require(val in ENSEMBLE_KINDS, f"ensembles.{slot} must be one of {ENSEMBLE_KINDS}")
 
@@ -190,24 +187,28 @@ def parse_config(cfg: dict) -> ExperimentConfig:
         method = dist.get("method")
         _require(method in kind.methods,
                  f"{name} supports the distortion methods {' | '.join(kind.methods)}")
+        _require(_is_int(dist.get("starts", 1)), "distortionMethod.starts must be an integer >= 1")
         if method == "netCertified":
             _require(_is_num(dist.get("rho")) and 0 < dist["rho"] < 0.5,
                      "netCertified needs rho in (0, 1/2): the slack rho*M/(1-rho) "
                      "reaches the net maximum M at rho = 1/2, so every certified "
                      "infimum would be <= 0")
             _require(_is_int(dist.get("candidateBudget")), "netCertified needs a candidateBudget")
-    need_p = _METHOD_P.get(method, kind.lp)
+    need_p = EXACT_METHOD_P.get(method, kind.lp)
     if need_p is not None:
-        _require(body.get("kind") == "LpBall" and body.get("p") == need_p,
-                 f"{method if method in _METHOD_P else name} requires body LpBall({need_p}, n)")
+        _require(body.get("kind") == "LpBall" and _lp(body) == need_p,
+                 f"{method if method in EXACT_METHOD_P else name} "
+                 f"requires body LpBall({need_p:g}, n)")
 
     constants = cfg.get("constants", {})
     _expect_keys(constants, {"kappa1", "rho", "q", "theta", "delta",
                              "c0", "c1", "c2", "c3", "restarts"}, "constants")
+    _require(kind.solves_event or "constants" not in cfg, f"{name} takes no constants")
     _require(all(map(_is_num, constants.values())), "constants must be numbers")
 
     process = cfg.get("process", {})
     _expect_keys(process, set(_PROCESS_DEFAULTS), "process")
+    _require(kind.process or "process" not in cfg, f"{name} takes no process")
     for key, value in process.items():
         low = 10**4 if key == "innerTrials" else 1  # concentration_check needs 1e4 draws
         _require(_is_int(value, low), f"process.{key} must be an integer >= {low}")
@@ -222,10 +223,13 @@ def parse_config(cfg: dict) -> ExperimentConfig:
     )
 
 
+def _lp(cfg_body: dict) -> float:
+    return math.inf if cfg_body["p"] == "inf" else float(cfg_body["p"])
+
+
 def _build_body(cfg_body: dict, n: int):
     if cfg_body["kind"] == "LpBall":
-        p = math.inf if cfg_body["p"] == "inf" else float(cfg_body["p"])
-        return LpBall(p, n)
+        return LpBall(_lp(cfg_body), n)
     body = polar_polytope(cfg_body["dualVertices"])
     if body.n != n:
         raise ConfigError(f"PolarPolytope dimension {body.n} does not match schedule n={n}")
@@ -311,8 +315,7 @@ def _schedule_context(config: ExperimentConfig, n_index: int) -> _ScheduleContex
         else:
             sol = solve_parameters(
                 consts.get("rho", 0.25), consts.get("q", 6.0), d_star, n,
-                SolverConstants(consts.get("c0", 1.0), consts.get("c1", 1.0),
-                                consts.get("c2", 1.0), consts.get("c3", 1.0)))
+                SolverConstants(**{c: consts[c] for c in ("c0", "c1", "c2", "c3") if c in consts}))
             theta, delta = sol.theta, sol.delta
     return _ScheduleContext(n=n, d=d, m=m, body=body, ell_k=ell_k, d_star=d_star,
                             net=net, theta=theta, delta=delta)
@@ -325,8 +328,7 @@ def _schedule_context(config: ExperimentConfig, n_index: int) -> _ScheduleContex
 def _distortion_fields(cfg: dict, ctx: _ScheduleContext, gamma, seed: int) -> dict:
     dist = cfg["distortionMethod"]
     rep = measure_distortion(ctx.body, gamma, dist["method"], net=ctx.net,
-                             starts=dist.get("starts", 32), seed=child_seed(seed, 1),
-                             ell_k=ctx.ell_k)
+                             starts=dist.get("starts", 32), seed=child_seed(seed, 1))
     return dict(sup_est=rep.sup_est, inf_est=rep.inf_est, ratio=rep.ratio,
                 method_tags=f"sup={rep.sup_method};inf={rep.inf_method}")
 
@@ -363,8 +365,7 @@ def _event_trial(cfg, ctx, seed, laws) -> dict:
     spec = EnsembleSpec(laws["col"], rows=ctx.d, cols=ctx.m, vector_axis="cols")
     gamma2 = sample_matrix(spec, child_seed(seed, 0))
     rep = check_event_A(gamma2, consts.get("kappa1", 2.0), ctx.delta, ctx.theta,
-                        method="greedy", restarts=consts.get("restarts", 20),
-                        seed=child_seed(seed, 1))
+                        restarts=consts.get("restarts", 20), seed=child_seed(seed, 1))
     k_main = max(1, rep.k_event)
     return dict(sup_est=rep.sparse_sup[k_main], event_a_holds=rep.event_a_holds,
                 method_tags=f"sparse={rep.sparse_methods[k_main]};k={k_main};"
@@ -388,13 +389,13 @@ class _Kind:
     """One experiment kind: its trial function and what its config must carry."""
 
     trial: Callable
-    laws: dict                  # ensemble slot -> default law the trial draws
-    lp: str | None = None       # the LpBall p the body must have, if any
-    m_rule: bool = False        # an mRule is required
+    laws: dict                  # ensemble slot -> default law; the allowed `ensembles` slots
+    lp: float | None = None     # the LpBall p the body must have, if any
+    m_rule: bool = False        # an mRule is required; if False, none is allowed
     methods: tuple = ()         # allowed distortionMethod.method values
     method_required: bool = False
-    solves_event: bool = False  # theta and delta are derived per schedule entry
-    process: bool = False       # d and m come from `process`; no body
+    solves_event: bool = False  # reads `constants`; theta and delta are derived per entry
+    process: bool = False       # reads `process` for d and m; no body
 
 
 # The kinds that measure the distortion of a map, by any of the four methods.
@@ -403,7 +404,7 @@ _MEASURED = dict(methods=("exactSpectral", "exactRowNorm", "netCertified", "mult
 
 _KINDS = {
     "gaussianDM": _Kind(_gaussian_trial, {}, **_MEASURED),
-    "cubeCounterexample": _Kind(_cube_trial, {"single": "UniformPM1"}, lp="inf",
+    "cubeCounterexample": _Kind(_cube_trial, {"single": "UniformPM1"}, lp=math.inf,
                                 methods=("exactRowNorm",)),
     "productUniform": _Kind(_product_trial, {"row": "UniformPM1", "col": "UniformPM1"},
                             m_rule=True, **_MEASURED),
@@ -521,19 +522,17 @@ def _sandbox_tail(tables: list) -> list:
             for x, e, b in zip(mults, acc, bound)]
 
 
-def load_trial_rows(csv_path) -> list:
-    with Path(csv_path).open("r", newline="", encoding="utf-8") as f:
-        return list(csv.DictReader(f))
-
-
 def verify_summary(csv_path, summary: dict) -> bool:
-    """Recompute per-n median ratios from the CSV and compare with the summary."""
-    rows = load_trial_rows(csv_path)
-    for entry in summary["series"]:
-        vals = [float(r["ratio"]) for r in rows
-                if int(r["n"]) == entry["n"] and not r["error"] and r["ratio"]]
-        vals = [v for v in vals if math.isfinite(v)]
-        med, ref = (float(np.median(vals)) if vals else None), entry["medianRatio"]
+    """Recompute each schedule entry's median ratio from the CSV and compare with the summary.
+
+    The CSV holds the rows of each schedule entry together, `trials` at a time.
+    """
+    with Path(csv_path).open("r", newline="", encoding="utf-8") as f:
+        rows = list(csv.DictReader(f))
+    for i, entry in enumerate(summary["series"]):
+        chunk = rows[i * entry["trials"]:(i + 1) * entry["trials"]]
+        med, _, _ = _quartiles([float(r["ratio"]) for r in chunk if r["ratio"]])
+        ref = entry["medianRatio"]
         if (med is None) != (ref is None) or (
                 med is not None and not math.isclose(med, ref, rel_tol=1e-12, abs_tol=1e-12)):
             return False

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from dmlab.bodies import LpBall, mean_width
-from dmlab.calibration import C_CHAIN, C_SUD, CONCENTRATION_C
+from dmlab.calibration import C_CHAIN
 from dmlab.distortion import measure_distortion
 from dmlab.ensembles import EnsembleSpec, product_spec, sample_matrix, sample_product
 from dmlab.events import singular_extremes, sparse_supremum
@@ -300,7 +300,7 @@ def test_a08_chaining_sandwich():
     for s in range(200):
         T = index_set(np.random.default_rng(child_seed(8, s)).standard_normal((32, 8)))
         est = emp_sup("gaussian", T, trials=3000, seed=child_seed(800, s))
-        lower_ok = sudakov_lower(T, C_SUD) <= est.value + 4 * est.stderr
+        lower_ok = sudakov_lower(T) <= est.value + 4 * est.stderr
         upper_ok = est.value <= C_CHAIN * gamma2_upper(T)[0]
         good += lower_ok and upper_ok
     elapsed = time.perf_counter() - t0
@@ -395,8 +395,7 @@ def test_a12_concentration_shape():
     good = 0
     for s in range(50):
         T = index_set(np.random.default_rng(child_seed(12, s)).standard_normal((32, 16)))
-        table = concentration_check(T, trials=10000, seed=child_seed(1200, s),
-                                    c=CONCENTRATION_C)
+        table = concentration_check(T, trials=10000, seed=child_seed(1200, s))
         i = int(np.flatnonzero(np.isclose(table.x / table.sigma_star, 3.0))[0])
         good += table.empirical[i] <= table.bound[i]
     elapsed = time.perf_counter() - t0

@@ -10,26 +10,25 @@ from dmlab.bodies import (
     diagonal_image,
     dual_norm_sup,
     mean_width,
-    norm_K,
     norm_many,
     polar_polytope,
 )
 
 
 def test_norm_examples():
-    assert norm_K(LpBall(math.inf, 4), np.array([1.0, -2.0, 0.5, 0.0])) == 2.0
-    assert norm_K(LpBall(2, 3), np.array([3.0, 4.0, 0.0])) == 5.0
+    assert norm_many(LpBall(math.inf, 4), np.array([[1.0, -2.0, 0.5, 0.0]])).tolist() == [2.0]
+    assert norm_many(LpBall(2, 3), np.array([[3.0, 4.0, 0.0]])).tolist() == [5.0]
     pp = polar_polytope(np.eye(2))
-    assert norm_K(pp, np.array([1.0, 1.0])) == 1.0
+    assert norm_many(pp, np.array([[1.0, 1.0]])).tolist() == [1.0]
 
 
 def test_norm_errors():
     with pytest.raises(ValueError, match="dimension"):
-        norm_K(LpBall(2, 3), np.array([1.0, 2.0]))
+        norm_many(LpBall(2, 3), np.array([[1.0, 2.0]]))
     with pytest.raises(ValueError, match="NaN|finite|infinity"):
-        norm_K(LpBall(2, 2), np.array([1.0, np.nan]))
+        norm_many(LpBall(2, 2), np.array([[1.0, np.nan]]))
     with pytest.raises(ValueError, match="NaN|finite|infinity"):
-        norm_K(LpBall(2, 2), np.array([1.0, np.inf]))
+        norm_many(LpBall(2, 2), np.array([[1.0, np.inf]]))
     with pytest.raises(ValueError):
         LpBall(0.5, 3)
 
@@ -41,23 +40,23 @@ def test_norm_errors():
 ])
 def test_norm_axioms(body):
     rng = np.random.default_rng(1)
-    for _ in range(50):
-        x, y = rng.standard_normal(6), rng.standard_normal(6)
-        lam = rng.standard_normal()
-        nx, ny = norm_K(body, x), norm_K(body, y)
-        assert norm_K(body, -x) == pytest.approx(nx, rel=1e-12)
-        assert norm_K(body, lam * x) == pytest.approx(abs(lam) * nx, rel=1e-12)
-        assert norm_K(body, x + y) <= (nx + ny) * (1 + 1e-12)
+    X, Y = rng.standard_normal((50, 6)), rng.standard_normal((50, 6))
+    lam = rng.standard_normal(50)
+    nx, ny = norm_many(body, X), norm_many(body, Y)
+    np.testing.assert_allclose(norm_many(body, -X), nx, rtol=1e-12)
+    np.testing.assert_allclose(norm_many(body, lam[:, None] * X), np.abs(lam) * nx, rtol=1e-12)
+    assert np.all(norm_many(body, X + Y) <= (nx + ny) * (1 + 1e-12))
 
 
 def test_polytope_evaluator_matches_vertex_probes():
     rng = np.random.default_rng(2)
     V = rng.standard_normal((9, 5))
     body = polar_polytope(V)
-    for _ in range(20):
-        x = rng.standard_normal(5)
+    X = rng.standard_normal((20, 5))
+    vals = norm_many(body, X)
+    for x, val in zip(X, vals):
         probes = max(float(x @ t) for t in body.dual_vertices)
-        assert norm_K(body, x) == pytest.approx(probes, rel=1e-14)
+        assert val == pytest.approx(probes, rel=1e-14)
 
 
 def test_dual_norm_sup_closed_forms():
@@ -181,4 +180,4 @@ def test_norm_many_matches_scalar():
     body = LpBall(2.5, 7)
     batch = norm_many(body, X)
     for i in range(40):
-        assert batch[i] == pytest.approx(norm_K(body, X[i]), rel=1e-13)
+        assert batch[i] == pytest.approx(norm_many(body, X[i:i + 1])[0], rel=1e-13)

@@ -179,8 +179,8 @@ def test_heavy_tailed_lq_ratio_stable_under_trial_doubling():
 
 def test_log_concave_norm_tail_paouris():
     spec = EnsembleSpec("LogConcaveSimplex", 4, 16)
-    d = marginal_diagnostics(spec, probe_directions=4, trials=100000, seed=6,
-                             paouris_c1=PAOURIS_C1)
+    d = marginal_diagnostics(spec, probe_directions=4, trials=100000, seed=6)
+    assert d.paouris_c1 == PAOURIS_C1
     for u in (1.0, 2.0):
         assert d.norm_tail[u] <= 2 * math.exp(-u * 4.0)
 

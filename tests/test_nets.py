@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -54,9 +53,7 @@ def _covering(points, dim, seed, probe_budget=8192):
     (6, 0.2, 10, 3),
 ])
 def test_blocked_net_matches_sequential_greedy(dim, rho, budget, seed):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        net = build_sphere_net(dim, rho, budget, seed)
+    net = build_sphere_net(dim, rho, budget, seed)
     want = _sequential_greedy(_candidates(dim, budget, seed), rho)
     assert np.array_equal(net.points, want)
     assert net.covering_radius_estimate == _covering(want, dim, seed)
@@ -65,7 +62,6 @@ def test_blocked_net_matches_sequential_greedy(dim, rho, budget, seed):
 def test_zero_sphere():
     net = build_sphere_net(1, 1.0, 100, 0)
     assert sorted(net.points.ravel().tolist()) == [-1.0, 1.0]
-    assert net.separation_certified
     assert net.covering_radius_estimate == 0.0
 
 
@@ -98,14 +94,11 @@ def test_covering_at_large_budget():
         net = build_sphere_net(3, 0.5, 10**6, seed)
         if net.covering_radius_estimate > 0.5:
             misses += 1
-        assert not net.covering_warning or net.covering_radius_estimate > 0.5
     assert misses == 0
 
 
-def test_small_budget_sets_warning_flag():
-    with pytest.warns(UserWarning, match="covering radius"):
-        net = build_sphere_net(6, 0.2, 10, 3)
-    assert net.covering_warning
+def test_small_budget_leaves_sphere_uncovered():
+    net = build_sphere_net(6, 0.2, 10, 3)
     assert net.covering_radius_estimate > 0.2
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dmlab.calibration import C_CHAIN, C_SUD
+from dmlab.calibration import C_CHAIN, C_SUD, CONCENTRATION_C
 from dmlab.processes import (
     bernoulli_gaussian_ratio,
     bernoulli_lp,
@@ -121,7 +121,7 @@ def test_gamma2_dominates_half_diameter():
 
 def test_sudakov_examples():
     two = index_set(np.array([[5.0, 0.0], [-5.0, 0.0]]))
-    assert sudakov_lower(two, 0.5) == pytest.approx(0.5 * 10 * math.sqrt(math.log(2)), rel=1e-12)
+    assert sudakov_lower(two) == pytest.approx(C_SUD * 10 * math.sqrt(math.log(2)), rel=1e-12)
     assert sudakov_lower(index_set(np.array([[1.0, 2.0]]))) == 0.0
     same = index_set(np.array([[1.0, 2.0], [1.0, 2.0]]))
     assert sudakov_lower(same) == 0.0
@@ -132,7 +132,7 @@ def test_sudakov_below_gaussian_sup_on_corpus():
     for seed in range(50):
         T = index_set(rng.standard_normal((24, 8)))
         est = emp_sup("gaussian", T, trials=3000, seed=seed)
-        assert sudakov_lower(T, C_SUD) <= est.value + 4 * est.stderr
+        assert sudakov_lower(T) <= est.value + 4 * est.stderr
 
 
 def test_chain_sandwich_on_corpus():
@@ -141,7 +141,7 @@ def test_chain_sandwich_on_corpus():
         T = index_set(rng.standard_normal((32, 8)))
         est = emp_sup("gaussian", T, trials=3000, seed=seed)
         g2, _ = gamma2_upper(T)
-        assert sudakov_lower(T, C_SUD) <= est.value + 4 * est.stderr
+        assert sudakov_lower(T) <= est.value + 4 * est.stderr
         assert est.value <= C_CHAIN * g2
 
 
@@ -159,7 +159,7 @@ def test_concentration_tail_nonincreasing_and_bound_shape():
     T = index_set(rng.standard_normal((20, 10)))
     table = concentration_check(T, trials=20000, seed=1)
     assert np.all(np.diff(table.empirical) <= 1e-12)
-    expected = 2 * np.exp(-table.c * table.x**2 / table.sigma_star**2)
+    expected = 2 * np.exp(-CONCENTRATION_C * table.x**2 / table.sigma_star**2)
     assert np.allclose(table.bound, expected)
 
 

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import dmlab.runner as runner_mod
+from dmlab.bodies import LpBall
 from dmlab.cli import main as cli_main
+from dmlab.distortion import measure_distortion
 from dmlab.runner import (
     CSV_COLUMNS,
     ConfigError,
@@ -139,6 +141,45 @@ def test_sandbox_accepts_a_d_rule():
     assert parse_config(SANDBOX_CFG).experiment_kind == "processSandbox"
 
 
+@pytest.mark.parametrize("cfg, change, match", [
+    (BASE_CFG, {"ensembles": {"row": "RademacherIID"}}, r"unknown fields in ensembles: \['row'\]"),
+    (BASE_CFG, {"constants": {"kappa1": 9}}, "gaussianDM takes no constants"),
+    (BASE_CFG, {"process": {"setDim": 4}}, "gaussianDM takes no process"),
+    (BASE_CFG, {"mRule": {"rule": "fixed", "m": 8}}, "gaussianDM takes no mRule"),
+    (SANDBOX_CFG, {"mRule": {"rule": "fixed", "m": 8}}, "processSandbox takes no mRule"),
+], ids=["gaussian-ensembles.row", "gaussian-constants", "gaussian-process", "gaussian-mRule",
+        "sandbox-mRule"])
+def test_validation_rejects_sections_the_kind_never_reads(cfg, change, match):
+    with pytest.raises(ConfigError, match=match):
+        parse_config({**cfg, **change})
+
+
+@pytest.mark.parametrize("starts", [-1, 0, True, "8"], ids=["-1", "0", "true", "string"])
+def test_validation_rejects_bad_starts(starts):
+    cfg = KIND_CFGS["productHeavyTailed"]
+    with pytest.raises(ConfigError, match="starts"):
+        parse_config({**cfg, "distortionMethod": {"method": "multiStartOpt", "starts": starts}})
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, "inf"])
+@pytest.mark.parametrize("method", ["exactSpectral", "exactRowNorm"])
+def test_config_and_estimator_agree_on_exact_method_bodies(method, p):
+    cfg = {**BASE_CFG, "body": {"kind": "LpBall", "p": p}, "distortionMethod": {"method": method}}
+    try:
+        parse_config(cfg)
+        parsed = True
+    except ConfigError:
+        parsed = False
+    gamma = np.random.default_rng(0).standard_normal((16, 4))
+    try:
+        measure_distortion(LpBall(math.inf if p == "inf" else p, 16), gamma, method, starts=2)
+        measured = True
+    except ValueError:
+        measured = False
+    assert parsed == measured
+    assert parsed == ((method, p) in {("exactSpectral", 2), ("exactRowNorm", "inf")})
+
+
 def test_cli_rejects_bad_constants_with_exit_2(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**KIND_CFGS["eventAFrequency"], "constants": ["rho"]}))
@@ -222,6 +263,8 @@ def test_cube_kind_records_witness(tmp_path):
     assert res.failures == 0
     s_small, s_big = res.summary["series"]
     assert s_small["d"] == 8 and s_big["d"] == 32
+    # both entries share n = 256, so the medians must be read per entry
+    assert verify_summary(res.csv_path, res.summary)
     assert s_big["medianWitnessRatio"] > s_small["medianWitnessRatio"]
     out = emit_plot_data(res.summary, "ratioVsD", tmp_path / "p.csv")
     lines = out.read_text().strip().splitlines()
