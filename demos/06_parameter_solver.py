@@ -5,7 +5,8 @@ solver returns the sparsity fraction theta, the sparse-norm budget delta,
 the sample count m and the subspace dimension d that make the event checks
 and the net argument consistent.  theta collapses quickly as rho shrinks
 (the log(5/rho) factor), which is why desk-scale runs operate in the regime
-where floor(theta m) is 0 or 1.
+where floor(theta m) is 0 or 1.  theta comes in closed form from the Lambert W
+function, so even the q = 3 roots, near 1e-13, print as the true roots.
 """
 
 from dmlab import solve_parameters
@@ -29,4 +30,4 @@ for rho in (0.25, 0.1):
 print("\nthe two published exponent readings differ (sanity flag):")
 for reading in ("grouped", "literal"):
     sol = solve_parameters(0.25, 6.0, d_star=1000.0, n=4096, exponent_reading=reading)
-    print(f"  {reading:>8}: theta = {sol.theta:.6e}")
+    print(f"  {reading:>8}: theta = {sol.theta:.6e} roundtrip={constraints_satisfied(sol)}")

@@ -198,7 +198,7 @@ class BodyConstants:
 
 def critical_dimension(
     body: ConvexBody,
-    method: str = "monteCarlo",
+    method: str,
     trials: int | None = None,
     seed: int | None = None,
 ) -> BodyConstants:

@@ -85,6 +85,11 @@ class SparseSupremum:
     method: str                    # "exact" or "greedy"
 
 
+def _check_restarts(restarts: int) -> None:
+    if not (isinstance(restarts, (int, np.integer)) and restarts >= 1):
+        raise ValueError("restarts must be an integer >= 1")
+
+
 def sparse_supremum(
     columns,
     k: int,
@@ -103,6 +108,7 @@ def sparse_supremum(
     d, m = X.shape
     if not 1 <= k <= m:
         raise ValueError(f"sparsity k must be in [1, {m}]")
+    _check_restarts(restarts)
 
     if k == m:
         value = singular_extremes(X)[1]
@@ -195,6 +201,17 @@ class EventReport:
     event_a_holds: bool
 
 
+def check_event_constants(kappa1: float, delta: float, theta: float, restarts: int) -> None:
+    """Raise ValueError unless check_event_A accepts these constants."""
+    _check_restarts(restarts)
+    if not 0.0 < theta < 0.25:
+        raise ValueError("theta must be in (0, 1/4)")
+    if not 0.0 < delta < 0.25:
+        raise ValueError("delta must be in (0, 1/4)")
+    if kappa1 < 1.0:
+        raise ValueError("kappa1 must be >= 1")
+
+
 def check_event_A(
     gamma2,
     kappa1: float,
@@ -211,12 +228,7 @@ def check_event_A(
     information).  The report's sparse profile covers a log-spaced k grid
     with running-max monotonicity and an exact endpoint at k=m.
     """
-    if not 0.0 < theta < 0.25:
-        raise ValueError("theta must be in (0, 1/4)")
-    if not 0.0 < delta < 0.25:
-        raise ValueError("delta must be in (0, 1/4)")
-    if kappa1 < 1.0:
-        raise ValueError("kappa1 must be >= 1")
+    check_event_constants(kappa1, delta, theta, restarts)
     X = np.asarray(gamma2, dtype=float)
     _, m = X.shape
     sqrt_m = math.sqrt(m)

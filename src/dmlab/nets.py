@@ -59,14 +59,9 @@ def build_sphere_net(
 
     A candidate is accepted iff it is at least rho from every earlier accept,
     tested via inner products (dist >= rho iff <x,y> <= 1 - rho^2/2).  The
-    accepted set is deterministic in (dim, rho, candidate_budget, seed).
-
-    Candidates are walked in blocks of `_NET_BLOCK`.  One matmul drops every
-    block candidate within rho of an earlier accept; then the first survivor
-    is accepted and every later survivor within rho of it is dropped, until
-    the block is empty.  Accepts are never revoked, so this rejects exactly
-    what the one-candidate-at-a-time greedy rejects, and the accepted points
-    are the sequential greedy's, in its order.
+    accepted set is deterministic in (dim, rho, candidate_budget, seed); the
+    module docstring shows why rejecting in blocks of `_NET_BLOCK` keeps it
+    the one-at-a-time greedy's.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")

@@ -10,9 +10,13 @@ dimension and the ambient dimension, the constraints are
 
 with all four constants configurable (they are only determined up to factors
 depending on the marginal laws; the defaults are 1).  theta is the largest
-value in (0, 0.2499] satisfying its constraint, found by bisection on the
-monotone-increasing branch of f(theta) = theta^a sqrt(log(e/theta)), which
-peaks at theta = exp(1 - 1/(2a)).
+value in (0, 0.2499] satisfying its constraint: below the cap, the root of
+f(theta) = theta^a sqrt(log(e/theta)) = b on the increasing branch of f.  With
+u = log(e/theta) this reads u exp(-2au) = b^2 exp(-2a), so in closed form
+theta = exp(1 + W(z)/(2a)) with z = -2a b^2 exp(-2a) and W the lower real
+branch W_{-1} of the Lambert W function.  Where 2(ez + 1) < 1e-6, next to the
+branch point -1/e where scipy's lambertw loses up to 1e-4 of accuracy, W is
+its series in p = -sqrt(2(ez + 1)) (Corless et al. 1996).
 
 The grouped exponent reading a = (q-2)/(2(q+2)) is the default; it matches
 the identity 1/2 - 1/r with r = 1 + q/2 used by the sparse-coordinate
@@ -23,10 +27,11 @@ behind `exponent_reading="literal"` for comparison runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+from scipy.special import lambertw
 
 _THETA_CAP = 0.2499  # keeps the open-interval constraint theta < 1/4 strict in float
-_BISECT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -47,6 +52,7 @@ class ParameterSolution:
     d: int
     constants: SolverConstants
     feasible: bool
+    exponent_reading: str
     reason: str | None = None
 
 
@@ -80,65 +86,38 @@ def solve_parameters(
     if n < 1:
         raise ValueError("n must be >= 1")
     c = constants or SolverConstants()
+    if min(c.c0, c.c1, c.c2, c.c3) <= 0.0:
+        raise ValueError("solver constants c0-c3 must be positive")
 
     log_term = math.log(5.0 / rho)
     delta = min(c.c1 / log_term, _THETA_CAP)
 
     a = _theta_exponent(q, exponent_reading)
     bound = c.c2 / log_term
-    theta_peak = math.exp(1.0 - 1.0 / (2.0 * a))
-    hi = min(_THETA_CAP, theta_peak * (1.0 - 1e-12))
     feasible, reason = True, None
     if _f(_THETA_CAP, a) <= bound:
         theta = _THETA_CAP
-    elif _f(hi, a) <= bound:
-        theta = hi
     else:
-        lo = 1e-280
-        if _f(lo, a) > bound:
-            feasible, reason, theta = False, "theta-constraint unsatisfiable", lo
-        else:
-            # f is strictly increasing on (0, theta_peak); bisect to the boundary.
-            while hi - lo > _BISECT_TOL * max(hi, 1.0):
-                mid = 0.5 * (lo + hi)
-                if _f(mid, a) <= bound:
-                    lo = mid
-                else:
-                    hi = mid
-            theta = lo
-    _check_monotone(a, min(theta, hi))
+        z = -2.0 * a * bound**2 * math.exp(-2.0 * a)
+        p = -math.sqrt(max(2.0 * (1.0 + math.e * z), 0.0))  # 0 where z rounds to or past -1/e
+        w = lambertw(z, -1).real if p < -1e-3 else -1.0 + p - p * p / 3.0 + 11.0 / 72.0 * p**3
+        theta = math.exp(1.0 + w / (2.0 * a))
+        if not theta >= 1e-280:  # underflowed to 0, a subnormal without precision, or nan
+            feasible, reason, theta = False, "theta-constraint unsatisfiable", 1e-280
 
-    d_real = c.c3 * theta ** (4.0 / (2.0 + q)) / log_term**5 * d_star
-    d = int(round(d_real))
+    d = int(round(c.c3 * theta ** (4.0 / (2.0 + q)) / log_term**5 * d_star))
     if d < 1:
-        feasible = False
-        reason = reason or "d<1"
-        d = 1
+        feasible, reason, d = False, reason or "d<1", 1
     m = int(math.ceil(c.c0 * max(d_star / rho, float(n))))
     return ParameterSolution(rho=rho, q=q, theta=theta, delta=delta, m=m, d=d,
-                             constants=c, feasible=feasible, reason=reason)
+                             constants=c, feasible=feasible,
+                             exponent_reading=exponent_reading, reason=reason)
 
 
-def _check_monotone(a: float, upper: float, samples: int = 1000) -> None:
-    """Guard the bisection hypothesis: f must be nondecreasing below the peak."""
-    if upper <= 1e-280:
-        return
-    lo = max(upper * 1e-12, 1e-280)
-    prev = -math.inf
-    for i in range(samples):
-        t = lo * (upper / lo) ** (i / (samples - 1))
-        v = _f(t, a)
-        if v < prev * (1.0 - 1e-9):
-            raise AssertionError("theta objective is not monotone on the bisection domain")
-        prev = v
-
-
-def constraints_satisfied(sol: ParameterSolution, exponent_reading: str = "grouped") -> bool:
+def constraints_satisfied(sol: ParameterSolution) -> bool:
     """Round-trip check: the returned (theta, delta) satisfy the constraint predicates."""
     log_term = math.log(5.0 / sol.rho)
-    a = _theta_exponent(sol.q, exponent_reading)
-    tol = 1e-9
-    ok_delta = sol.delta <= sol.constants.c1 / log_term + tol and 0 < sol.delta < 0.25
-    ok_theta = (_f(sol.theta, a) <= sol.constants.c2 / log_term + tol
-                and 0 < sol.theta < 0.25)
+    a = _theta_exponent(sol.q, sol.exponent_reading)
+    ok_delta = sol.delta <= sol.constants.c1 / log_term + 1e-9 and 0 < sol.delta < 0.25
+    ok_theta = _f(sol.theta, a) <= sol.constants.c2 / log_term + 1e-9 and 0 < sol.theta < 0.25
     return ok_delta and ok_theta

@@ -35,7 +35,7 @@ from dmlab.calibration import CONCENTRATION_C, calibration_block
 from dmlab.distortion import EXACT_METHOD_P, adversarial_linf_witness, measure_distortion
 from dmlab.ensembles import KINDS as ENSEMBLE_KINDS
 from dmlab.ensembles import EnsembleSpec, product_spec, sample_matrix, sample_product
-from dmlab.events import check_event_A
+from dmlab.events import check_event_A, check_event_constants
 from dmlab.nets import build_sphere_net
 from dmlab.params import SolverConstants, solve_parameters
 from dmlab.processes import concentration_check, emp_sup, index_set, sudakov_lower
@@ -59,6 +59,8 @@ _TOP_KEYS = {
 }
 
 _PROCESS_DEFAULTS = {"setSize": 32, "setDim": 16, "innerTrials": 10_000, "supTrials": 2000}
+_EVENT_DEFAULTS = {"kappa1": 2.0, "restarts": 20, "rho": 0.25, "q": 6.0}
+_SOLVER_KEYS = ("rho", "q", "c0", "c1", "c2", "c3")  # read only when theta and delta are not given
 
 
 def _expect_keys(d, allowed: set, ctx: str) -> None:
@@ -165,7 +167,8 @@ def parse_config(cfg: dict) -> ExperimentConfig:
         else:
             raise ConfigError("body.kind must be 'LpBall' or 'PolarPolytope'")
 
-    _check_rule(cfg, "dRule", _D_RULES, len(schedule))
+    if not (kind.process and "dRule" not in cfg):  # a sandbox reads d from `process`
+        _check_rule(cfg, "dRule", _D_RULES, len(schedule))
     _require((cfg.get("mRule") is not None) == kind.m_rule,
              f"{name} {'requires an' if kind.m_rule else 'takes no'} mRule")
     if kind.m_rule:
@@ -182,11 +185,10 @@ def parse_config(cfg: dict) -> ExperimentConfig:
         _require(not kind.method_required, f"{name} requires a distortionMethod")
     else:
         _require(bool(kind.methods), f"{name} takes no distortionMethod")
-        net_keys = {"rho", "candidateBudget"} if "netCertified" in kind.methods else set()
-        _expect_keys(dist, {"method", "starts", *net_keys}, "distortionMethod")
-        method = dist.get("method")
+        method = dist.get("method") if isinstance(dist, dict) else None
         _require(method in kind.methods,
                  f"{name} supports the distortion methods {' | '.join(kind.methods)}")
+        _expect_keys(dist, {"method", *_METHOD_KEYS[method]}, f"distortionMethod {method}")
         _require(_is_int(dist.get("starts", 1)), "distortionMethod.starts must be an integer >= 1")
         if method == "netCertified":
             _require(_is_num(dist.get("rho")) and 0 < dist["rho"] < 0.5,
@@ -201,10 +203,20 @@ def parse_config(cfg: dict) -> ExperimentConfig:
                  f"requires body LpBall({need_p:g}, n)")
 
     constants = cfg.get("constants", {})
-    _expect_keys(constants, {"kappa1", "rho", "q", "theta", "delta",
-                             "c0", "c1", "c2", "c3", "restarts"}, "constants")
+    _expect_keys(constants, {"kappa1", "restarts", "theta", "delta", *_SOLVER_KEYS}, "constants")
     _require(kind.solves_event or "constants" not in cfg, f"{name} takes no constants")
     _require(all(map(_is_num, constants.values())), "constants must be numbers")
+    if kind.solves_event:
+        given = {"theta", "delta"} & set(constants)
+        _require(len(given) != 1, "constants.theta and constants.delta must come together")
+        unread = sorted(set(constants) & set(_SOLVER_KEYS)) if given else []
+        _require(not unread, f"constants {unread} are not read when theta and delta are given")
+        consts = {**_EVENT_DEFAULTS, **constants}
+        try:  # the bounds are those that the solver and the event check enforce
+            theta, delta = _theta_delta(consts)
+            check_event_constants(consts["kappa1"], delta, theta, consts["restarts"])
+        except ValueError as exc:
+            raise ConfigError(f"constants: {exc}") from None
 
     process = cfg.get("process", {})
     _expect_keys(process, set(_PROCESS_DEFAULTS), "process")
@@ -221,6 +233,15 @@ def parse_config(cfg: dict) -> ExperimentConfig:
         raw=cfg, experiment_kind=name, schedule=tuple(schedule), trials=trials,
         master_seed=seed, record_timing=record_timing,
     )
+
+
+def _theta_delta(consts: dict) -> tuple:
+    """Event A's (theta, delta): as given, or solved from rho, q and c0-c3 (dStar, n unused)."""
+    if "theta" in consts:
+        return consts["theta"], consts["delta"]
+    sol = solve_parameters(consts["rho"], consts["q"], 1.0, 1, SolverConstants(
+        **{c: consts[c] for c in ("c0", "c1", "c2", "c3") if c in consts}))
+    return sol.theta, sol.delta
 
 
 def _lp(cfg_body: dict) -> float:
@@ -245,8 +266,6 @@ class _ScheduleContext:
     ell_k: float
     d_star: float
     net: object = None
-    theta: float | None = None
-    delta: float | None = None
 
 
 @dataclass(frozen=True)
@@ -306,19 +325,7 @@ def _schedule_context(config: ExperimentConfig, n_index: int) -> _ScheduleContex
     if dist.get("method") == "netCertified":
         net = build_sphere_net(d, dist["rho"], dist["candidateBudget"],
                                seed=child_seed(config.master_seed, 920_000 + n_index))
-
-    theta = delta = None
-    if kind.solves_event:
-        consts = cfg.get("constants", {})
-        if "theta" in consts and "delta" in consts:
-            theta, delta = consts["theta"], consts["delta"]
-        else:
-            sol = solve_parameters(
-                consts.get("rho", 0.25), consts.get("q", 6.0), d_star, n,
-                SolverConstants(**{c: consts[c] for c in ("c0", "c1", "c2", "c3") if c in consts}))
-            theta, delta = sol.theta, sol.delta
-    return _ScheduleContext(n=n, d=d, m=m, body=body, ell_k=ell_k, d_star=d_star,
-                            net=net, theta=theta, delta=delta)
+    return _ScheduleContext(n=n, d=d, m=m, body=body, ell_k=ell_k, d_star=d_star, net=net)
 
 
 # Trial functions: (config, schedule context, trial seed, ensemble laws) -> the
@@ -361,14 +368,16 @@ def _product_trial(cfg, ctx, seed, laws) -> dict:
 
 
 def _event_trial(cfg, ctx, seed, laws) -> dict:
-    consts = cfg.get("constants", {})
+    consts = {**_EVENT_DEFAULTS, **cfg.get("constants", {})}
     spec = EnsembleSpec(laws["col"], rows=ctx.d, cols=ctx.m, vector_axis="cols")
     gamma2 = sample_matrix(spec, child_seed(seed, 0))
-    rep = check_event_A(gamma2, consts.get("kappa1", 2.0), ctx.delta, ctx.theta,
-                        restarts=consts.get("restarts", 20), seed=child_seed(seed, 1))
+    theta, delta = _theta_delta(consts)
+    rep = check_event_A(gamma2, consts["kappa1"], delta, theta,
+                        restarts=consts["restarts"], seed=child_seed(seed, 1))
     k_main = max(1, rep.k_event)
+    sparse = rep.sparse_methods[k_main] if rep.k_event else "vacuous"  # floor(theta m) = 0
     return dict(sup_est=rep.sparse_sup[k_main], event_a_holds=rep.event_a_holds,
-                method_tags=f"sparse={rep.sparse_methods[k_main]};k={k_main};"
+                method_tags=f"sparse={sparse};k={k_main};"
                             f"kappa1Measured={rep.kappa1_measured:.6g}")
 
 
@@ -394,13 +403,16 @@ class _Kind:
     m_rule: bool = False        # an mRule is required; if False, none is allowed
     methods: tuple = ()         # allowed distortionMethod.method values
     method_required: bool = False
-    solves_event: bool = False  # reads `constants`; theta and delta are derived per entry
+    solves_event: bool = False  # reads `constants` for event A
     process: bool = False       # reads `process` for d and m; no body
 
 
+# The distortionMethod fields that each method reads, besides `method`.
+_METHOD_KEYS = {"exactSpectral": (), "exactRowNorm": ("starts",),
+                "netCertified": ("rho", "candidateBudget"), "multiStartOpt": ("starts",)}
+
 # The kinds that measure the distortion of a map, by any of the four methods.
-_MEASURED = dict(methods=("exactSpectral", "exactRowNorm", "netCertified", "multiStartOpt"),
-                 method_required=True)
+_MEASURED = dict(methods=tuple(_METHOD_KEYS), method_required=True)
 
 _KINDS = {
     "gaussianDM": _Kind(_gaussian_trial, {}, **_MEASURED),

@@ -168,6 +168,12 @@ def test_one_point_lower_bound():
         assert c.ell_k >= c.dual_sup * math.sqrt(2 / math.pi) - 6 * c.ell_k_stderr
 
 
+def test_critical_dimension_needs_a_method():
+    # The old default, monteCarlo without trials, could only raise.
+    with pytest.raises(TypeError):
+        critical_dimension(LpBall(2, 5))
+
+
 def test_body_constants_shape():
     c = critical_dimension(LpBall(2, 5), "closedForm")
     assert isinstance(c, BodyConstants)

@@ -7,6 +7,7 @@ from dmlab.calibration import SPARSE_HEAVYTAIL_C, SPARSE_SUBGAUSSIAN_C
 from dmlab.ensembles import EnsembleSpec, sample_matrix
 from dmlab.events import (
     check_event_A,
+    check_event_constants,
     singular_extremes,
     sparse_supremum,
 )
@@ -112,6 +113,15 @@ def test_sparse_validation():
         sparse_supremum(X, 2, method="magic")
 
 
+@pytest.mark.parametrize("restarts", [0, -1, 2.5])
+def test_sparse_supremum_rejects_bad_restarts(restarts):
+    X = np.random.default_rng(0).standard_normal((3, 8))
+    with pytest.raises(ValueError, match="restarts"):
+        sparse_supremum(X, 2, restarts=restarts)
+    with pytest.raises(ValueError, match="restarts"):
+        check_event_A(X, kappa1=2.0, delta=0.2, theta=0.2, restarts=restarts)
+
+
 def test_event_zero_matrix_holds():
     rep = check_event_A(np.zeros((4, 40)), kappa1=2.0, delta=0.2, theta=0.2, seed=0)
     assert rep.event_a_holds
@@ -133,6 +143,9 @@ def test_event_parameter_validation():
         full = {"kappa1": 2.0, "delta": 0.2, "theta": 0.2, **kwargs}
         with pytest.raises(ValueError):
             check_event_A(X, **full)
+        with pytest.raises(ValueError):
+            check_event_constants(restarts=20, **full)
+    check_event_constants(2.0, 0.2, 0.2, 20)
 
 
 def test_event_profile_monotone_and_exact_endpoint():

@@ -92,5 +92,72 @@ def test_literal_exponent_reading_differs():
     grouped = solve_parameters(0.25, 6.0, 100.0, 512, exponent_reading="grouped")
     literal = solve_parameters(0.25, 6.0, 100.0, 512, exponent_reading="literal")
     assert grouped.theta != literal.theta
+    assert (grouped.exponent_reading, literal.exponent_reading) == ("grouped", "literal")
     with pytest.raises(ValueError):
         solve_parameters(0.25, 6.0, 100.0, 512, exponent_reading="mystery")
+
+
+def _a(q, reading):
+    return (q - 2) / (2 * (q + 2)) if reading == "grouped" else ((q - 2) / 2) * (q + 2)
+
+
+@pytest.mark.parametrize("reading", ["grouped", "literal"])
+def test_theta_is_the_increasing_branch_root_on_a_grid(reading):
+    interior = 0
+    for rho in (0.25, 0.2, 0.1, 0.05, 0.01, 1e-3):
+        for q in (2.1, 3.0, 4.0, 6.0, 12.0, 50.0):
+            for c2 in (1e-4, 1e-3, 0.01, 0.1, 1.0, 4.0):
+                sol = solve_parameters(rho, q, 100.0, 64, SolverConstants(c2=c2),
+                                       exponent_reading=reading)
+                if not 1e-280 < sol.theta < 0.2499:
+                    continue
+                interior += 1
+                a = _a(q, reading)
+                f = sol.theta**a * math.sqrt(math.log(math.e / sol.theta))
+                assert abs(f / (c2 / math.log(5.0 / rho)) - 1.0) <= 1e-12, (rho, q, c2)
+                assert sol.theta < math.exp(1.0 - 1.0 / (2.0 * a)), (rho, q, c2)
+    assert interior >= 50
+
+
+@pytest.mark.parametrize("rho, root", [(0.25, 8.718e-13), (0.1, 3.570e-14), (0.05, 5.217e-15)])
+def test_tiny_roots_are_not_floored(rho, root):
+    # A bisection with an absolute tolerance returned its 1e-280 floor here.
+    sol = solve_parameters(rho, 3.0, 1000.0, 4096)
+    assert sol.theta == pytest.approx(root, rel=1e-3, abs=0.0)
+    assert constraints_satisfied(sol)
+
+
+@pytest.mark.parametrize("c2", [1e-4, 0.01, 5.3e-161, 1e-300])
+def test_theta_below_the_float_range_is_unsatisfiable(c2):
+    # Roots near 1e-492 and 2e-321 (q = 2.1, a = 1/82); at c2 = 5.3e-161 the Lambert
+    # argument is the subnormal -1e-323, where scipy's lambertw returns nan.
+    sol = solve_parameters(0.25, 2.1, 100.0, 64, SolverConstants(c2=c2))
+    assert sol.theta == 1e-280
+    assert not sol.feasible
+    assert sol.reason == "theta-constraint unsatisfiable"
+
+
+def test_root_near_the_peak_stays_real_and_capped():
+    # q where f peaks at the cap: the Lambert argument sits at the branch point -1/e.
+    a = 1.0 / (2.0 * (1.0 - math.log(0.2499)))
+    q = (2.0 + 4.0 * a) / (1.0 - 2.0 * a)
+    peak = 0.2499**a * math.sqrt(math.log(math.e / 0.2499))
+    for eps in (0.0, 1e-16, 1e-15, 1e-12, 1e-9):
+        c2 = peak * math.log(20.0) * (1.0 - eps)
+        sol = solve_parameters(0.25, q, 100.0, 64, SolverConstants(c2=c2))
+        assert math.isfinite(sol.theta) and 0.249 < sol.theta <= 0.2499
+        assert constraints_satisfied(sol)
+
+
+@pytest.mark.parametrize("rho, q", [(0.25, 6.0), (0.1, 3.0), (0.05, 12.0), (0.25, 3.0)])
+def test_roundtrip_reads_the_solution_reading(rho, q):
+    sol = solve_parameters(rho, q, 200.0, 256, exponent_reading="literal")
+    assert sol.exponent_reading == "literal"
+    assert constraints_satisfied(sol)
+
+
+@pytest.mark.parametrize("field", ["c0", "c1", "c2", "c3"])
+def test_solver_constants_must_be_positive(field):
+    for value in (0.0, -1.0):
+        with pytest.raises(ValueError, match="positive"):
+            solve_parameters(0.25, 6.0, 100.0, 64, SolverConstants(**{field: value}))

@@ -141,6 +141,74 @@ def test_sandbox_accepts_a_d_rule():
     assert parse_config(SANDBOX_CFG).experiment_kind == "processSandbox"
 
 
+def test_sandbox_runs_without_a_d_rule(tmp_path):
+    cfg = {k: v for k, v in SANDBOX_CFG.items() if k != "dRule"}
+    res = run_experiment(cfg, out_dir=tmp_path)
+    assert res.failures == 0
+    assert [r.d for r in res.records] == [8, 8]
+
+
+@pytest.mark.parametrize("cfg, dist", [
+    (BASE_CFG, {"method": "exactSpectral", "starts": 8}),
+    (KIND_CFGS["productLogConcave"],
+     {"method": "netCertified", "rho": 0.3, "candidateBudget": 5000, "starts": 8}),
+    (KIND_CFGS["productHeavyTailed"], {"method": "multiStartOpt", "starts": 8, "rho": 0.3}),
+    (KIND_CFGS["productHeavyTailed"],
+     {"method": "multiStartOpt", "starts": 8, "candidateBudget": 5000}),
+], ids=["exactSpectral-starts", "netCertified-starts", "multiStartOpt-rho",
+        "multiStartOpt-candidateBudget"])
+def test_validation_rejects_method_fields_the_method_never_reads(cfg, dist):
+    with pytest.raises(ConfigError, match=f"unknown fields in distortionMethod {dist['method']}"):
+        parse_config({**cfg, "distortionMethod": dist})
+
+
+_EVENT_GIVEN = KIND_CFGS["eventAFrequency"]
+_EVENT_SOLVED = {**_EVENT_GIVEN, "constants": {"rho": 0.25, "q": 6.0, "kappa1": 2.0}}
+
+
+@pytest.mark.parametrize("cfg, change, match", [
+    (_EVENT_GIVEN, {"theta": 0.3}, "theta must be in"),
+    (_EVENT_GIVEN, {"delta": 0.5}, "delta must be in"),
+    (_EVENT_GIVEN, {"kappa1": 0.5}, "kappa1 must be >= 1"),
+    (_EVENT_SOLVED, {"kappa1": 0.5}, "kappa1 must be >= 1"),
+    (_EVENT_GIVEN, {"restarts": 0}, "restarts"),
+    (_EVENT_GIVEN, {"restarts": -1}, "restarts"),
+    (_EVENT_GIVEN, {"restarts": 2.5}, "restarts"),
+    (_EVENT_SOLVED, {"rho": 0.5}, "rho must be in"),
+    (_EVENT_SOLVED, {"q": 2}, "q must exceed 2"),
+    (_EVENT_SOLVED, {"c1": 0}, "positive"),
+    (_EVENT_SOLVED, {"theta": 0.05}, "must come together"),
+    (_EVENT_SOLVED, {"delta": 0.2}, "must come together"),
+    (_EVENT_GIVEN, {"rho": 0.25}, r"\['rho'\] are not read"),
+    (_EVENT_GIVEN, {"q": 6.0, "c2": 2.0}, r"\['c2', 'q'\] are not read"),
+], ids=["theta", "delta", "kappa1", "kappa1-solved", "restarts-0", "restarts-negative",
+        "restarts-float", "rho", "q", "c1", "theta-alone", "delta-alone", "given-rho",
+        "given-q-c2"])
+def test_validation_rejects_bad_event_constants(cfg, change, match):
+    with pytest.raises(ConfigError, match=match):
+        parse_config({**cfg, "constants": {**cfg["constants"], **change}})
+
+
+def test_cli_rejects_bad_event_constants_with_exit_2(tmp_path):
+    path = tmp_path / "cfg.json"
+    cfg = {**_EVENT_GIVEN, "constants": {**_EVENT_GIVEN["constants"], "restarts": 2.5}}
+    path.write_text(json.dumps(cfg))
+    assert cli_main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_event_tags_name_a_vacuous_sparse_condition(tmp_path):
+    # m = 64: theta = 3.5/64 gives floor(theta m) = 3; theta = 0.01 gives 0.
+    busy = run_experiment(_EVENT_GIVEN, out_dir=tmp_path / "busy")
+    vacuous_cfg = {**_EVENT_GIVEN, "constants": {**_EVENT_GIVEN["constants"], "theta": 0.01}}
+    vacuous = run_experiment(vacuous_cfg, out_dir=tmp_path / "vacuous")
+    assert busy.failures == vacuous.failures == 0
+    for rec in busy.records:
+        assert rec.method_tags.startswith(("sparse=greedy;k=3;", "sparse=exact;k=3;"))
+    for rec in vacuous.records:
+        assert rec.method_tags.startswith("sparse=vacuous;k=1;")
+
+
 @pytest.mark.parametrize("cfg, change, match", [
     (BASE_CFG, {"ensembles": {"row": "RademacherIID"}}, r"unknown fields in ensembles: \['row'\]"),
     (BASE_CFG, {"constants": {"kappa1": 9}}, "gaussianDM takes no constants"),
