@@ -9,17 +9,35 @@ by enumeration when the support count permits and otherwise estimated by
 steepest single-swap local search with restarts.  Greedy numbers are lower
 bounds, so a violation found by greedy is conclusive while a confirmation is
 heuristic; every report records which method produced each number.
+
+The swap search prunes its candidates before any eigenvalue is computed.
+Replacing column i of the support by column j gives the gram of S = X[:, rest]
+bordered by x_j.  With l1 = lambda_max(S^T S), b_j = S^T x_j and c_j = |x_j|^2,
+the unit vector (u, t) gives u^T S^T S u + 2t b_j^T u + c_j t^2, at most the
+form of [[l1, |b_j|], [|b_j|, c_j]] at (|u|, |t|), so for k <= d
+
+    lambda_max <= (l1 + c_j)/2 + sqrt((l1 - c_j)^2/4 + |b_j|^2),
+
+and for k > d, by Weyl, lambda_max(S S^T + x_j x_j^T) <= l1 + c_j.  A
+candidate whose bound, times 1 + 1e-9 for rounding, is below floor^2, with
+floor the running best swap plus the 1e-12 acceptance margin, cannot be
+accepted, so only the others reach eigvalsh.  Their grams are built from the
+same products as without pruning, ties still go to the first candidate, and
+the search returns the same support, value and witness bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
 from dmlab.seeding import child_seed
+
+_BOUND_SLACK = 1e-9            # relative slack on the swap bound; absorbs its rounding
+_EXACT_CHUNK_BYTES = 1 << 23   # submatrices and grams of one exact-enumeration batch
 
 
 def singular_extremes(M):
@@ -37,33 +55,70 @@ def _submatrix_smax(sub: np.ndarray) -> float:
     return math.sqrt(max(float(np.linalg.eigvalsh(g)[-1]), 0.0))
 
 
-def _swap_values(X: np.ndarray, support: list, i: int, cand: np.ndarray) -> np.ndarray:
-    """Spectral norms of the submatrices (support - {i}) + {j} for each j in cand.
+def _swap_values(X: np.ndarray, support: list, i: int, cand: np.ndarray,
+                 floor: float) -> tuple:
+    """Spectral norms of the submatrices (support - {i}) + {j} that may reach floor.
 
-    Batched over j: the gram of the shared k-1 columns is assembled once and
-    each candidate contributes one bordered row/column (k <= d) or a rank-one
-    update of the d x d gram (k > d), then one batched eigvalsh call.
+    Returns (keep, values): the positions in cand whose closed-form bound on
+    the squared norm reaches floor**2, and the norms of those submatrices.
+    The gram of the shared k-1 columns is assembled once; each candidate
+    borders it with one row/column (k <= d) or adds a rank-one term to the
+    d x d gram (k > d), and the kept grams go to one batched eigvalsh call.
     """
     d = X.shape[0]
     rest = [s for s in support if s != i]
     k = len(rest) + 1
     B = X[:, cand]                              # d x c
-    c = B.shape[1]
+    sub = X[:, rest]                            # d x (k-1)
+    diag = (B * B).sum(axis=0)
     if k <= d:
-        sub = X[:, rest]                        # d x (k-1)
         g0 = sub.T @ sub
         cross = sub.T @ B                       # (k-1) x c
-        grams = np.empty((c, k, k))
-        grams[:, :k - 1, :k - 1] = g0
-        grams[:, :k - 1, k - 1] = cross.T
-        grams[:, k - 1, :k - 1] = cross.T
-        grams[:, k - 1, k - 1] = (B * B).sum(axis=0)
+        lam = float(np.linalg.eigvalsh(g0)[-1]) if k > 1 else 0.0
+        bound = 0.5 * (lam + diag) + np.sqrt(0.25 * (lam - diag) ** 2
+                                             + (cross * cross).sum(axis=0))
     else:
-        sub = X[:, rest]
         g0 = sub @ sub.T                        # d x d
-        grams = g0[None, :, :] + B.T[:, :, None] * B.T[:, None, :]
+        bound = float(np.linalg.eigvalsh(g0)[-1]) + diag
+    keep = np.flatnonzero(bound * (1.0 + _BOUND_SLACK) >= floor * floor)
+    if k <= d:
+        grams = np.empty((keep.size, k, k))
+        grams[:, :k - 1, :k - 1] = g0
+        kept = cross.T[keep]
+        grams[:, :k - 1, k - 1] = kept
+        grams[:, k - 1, :k - 1] = kept
+        grams[:, k - 1, k - 1] = diag[keep]
+    else:
+        Bk = B.T[keep]
+        grams = g0[None, :, :] + Bk[:, :, None] * Bk[:, None, :]
     top = np.linalg.eigvalsh(grams)[:, -1]
-    return np.sqrt(np.maximum(top, 0.0))
+    return keep, np.sqrt(np.maximum(top, 0.0))
+
+
+def _exact_search(X: np.ndarray, k: int) -> tuple:
+    """(value, support) of the largest k-column spectral norm, by enumeration.
+
+    Supports are taken in lexicographic order, in chunks of at most
+    _EXACT_CHUNK_BYTES of submatrices and grams, each with one batched gram
+    product and one batched eigvalsh call.  Ties go to the first support: the
+    first argmax within a chunk, and a strict improvement across chunks.
+    """
+    d, m = X.shape
+    g = min(d, k)
+    per_chunk = max(1, _EXACT_CHUNK_BYTES // (8 * (d * k + g * g)))
+    supports = combinations(range(m), k)
+    best_val, best_sup = -1.0, None
+    while True:
+        chunk = np.array(list(islice(supports, per_chunk)), dtype=np.intp)
+        if not chunk.size:
+            return best_val, best_sup
+        subs = np.ascontiguousarray(X[:, chunk].transpose(1, 0, 2))    # c x d x k
+        subs_t = subs.transpose(0, 2, 1)
+        grams = subs @ subs_t if d <= k else subs_t @ subs
+        vals = np.sqrt(np.maximum(np.linalg.eigvalsh(grams)[:, -1], 0.0))
+        j = int(np.argmax(vals))
+        if vals[j] > best_val:
+            best_val, best_sup = float(vals[j]), tuple(int(s) for s in chunk[j])
 
 
 def _witness_vector(sub: np.ndarray, support, m: int) -> np.ndarray:
@@ -109,6 +164,8 @@ def sparse_supremum(
     if not 1 <= k <= m:
         raise ValueError(f"sparsity k must be in [1, {m}]")
     _check_restarts(restarts)
+    if not np.isfinite(X).all():
+        raise ValueError("columns must be finite")
 
     if k == m:
         value = singular_extremes(X)[1]
@@ -119,11 +176,7 @@ def sparse_supremum(
         if math.comb(m, k) > 10**6:
             raise ValueError(
                 f"C({m},{k}) supports exceed the exact enumeration budget; use greedy")
-        best_val, best_sup = -1.0, None
-        for sup in combinations(range(m), k):
-            val = _submatrix_smax(X[:, sup])
-            if val > best_val:
-                best_val, best_sup = val, sup
+        best_val, best_sup = _exact_search(X, k)
         return SparseSupremum(best_val, _witness_vector(X[:, best_sup], best_sup, m),
                               best_sup, "exact")
 
@@ -142,10 +195,11 @@ def sparse_supremum(
             swap, swap_val = None, val
             if cand.size:
                 for i in support:
-                    vals = _swap_values(X, support, i, cand)
-                    jbest = int(np.argmax(vals))
-                    if vals[jbest] > swap_val + 1e-12:
-                        swap_val, swap = float(vals[jbest]), (i, int(cand[jbest]))
+                    keep, vals = _swap_values(X, support, i, cand, swap_val + 1e-12)
+                    if vals.size:
+                        jbest = int(np.argmax(vals))
+                        if vals[jbest] > swap_val + 1e-12:
+                            swap_val, swap = float(vals[jbest]), (i, int(cand[keep[jbest]]))
             if swap is None:
                 break
             support = sorted([s for s in support if s != swap[0]] + [swap[1]])

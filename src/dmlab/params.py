@@ -16,7 +16,10 @@ u = log(e/theta) this reads u exp(-2au) = b^2 exp(-2a), so in closed form
 theta = exp(1 + W(z)/(2a)) with z = -2a b^2 exp(-2a) and W the lower real
 branch W_{-1} of the Lambert W function.  Where 2(ez + 1) < 1e-6, next to the
 branch point -1/e where scipy's lambertw loses up to 1e-4 of accuracy, W is
-its series in p = -sqrt(2(ez + 1)) (Corless et al. 1996).
+its series in p = -sqrt(2(ez + 1)) (Corless et al. 1996).  Where z is below the
+smallest normal float (large a under the literal reading), W is found in log
+space by Newton's method on w + log(-w) = log(-z), so a root that is itself an
+ordinary float is not lost to the underflow of z.
 
 The grouped exponent reading a = (q-2)/(2(q+2)) is the default; it matches
 the identity 1/2 - 1/r with r = 1 + q/2 used by the sparse-coordinate
@@ -27,6 +30,7 @@ behind `exponent_reading="literal"` for comparison runs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from scipy.special import lambertw
@@ -68,6 +72,21 @@ def _f(theta: float, a: float) -> float:
     return theta**a * math.sqrt(math.log(math.e / theta))
 
 
+def _lambert_wm1_log(log_mz: float) -> float:
+    """W_{-1}(z) from log(-z), for z far below the branch point -1/e.
+
+    Newton's method on w + log(-w) = L with L = log(-z), which is w e^w = z
+    in log form, from the asymptote w = L - log(-L).
+    """
+    w = log_mz - math.log(-log_mz)
+    for _ in range(50):
+        step = (w + math.log(-w) - log_mz) / (1.0 + 1.0 / w)
+        w -= step
+        if abs(step) <= 4.0 * sys.float_info.epsilon * abs(w):
+            break
+    return w
+
+
 def solve_parameters(
     rho: float,
     q: float,
@@ -99,8 +118,12 @@ def solve_parameters(
         theta = _THETA_CAP
     else:
         z = -2.0 * a * bound**2 * math.exp(-2.0 * a)
-        p = -math.sqrt(max(2.0 * (1.0 + math.e * z), 0.0))  # 0 where z rounds to or past -1/e
-        w = lambertw(z, -1).real if p < -1e-3 else -1.0 + p - p * p / 3.0 + 11.0 / 72.0 * p**3
+        if -z < sys.float_info.min:  # z is subnormal or 0: W from log(-z)
+            w = _lambert_wm1_log(math.log(2.0 * a) + 2.0 * math.log(bound) - 2.0 * a)
+        else:
+            p = -math.sqrt(max(2.0 * (1.0 + math.e * z), 0.0))  # 0 where z rounds to or past -1/e
+            w = (lambertw(z, -1).real if p < -1e-3
+                 else -1.0 + p - p * p / 3.0 + 11.0 / 72.0 * p**3)
         theta = math.exp(1.0 + w / (2.0 * a))
         if not theta >= 1e-280:  # underflowed to 0, a subnormal without precision, or nan
             feasible, reason, theta = False, "theta-constraint unsatisfiable", 1e-280

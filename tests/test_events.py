@@ -1,16 +1,22 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+from dmlab import events
 from dmlab.calibration import SPARSE_HEAVYTAIL_C, SPARSE_SUBGAUSSIAN_C
 from dmlab.ensembles import EnsembleSpec, sample_matrix
 from dmlab.events import (
+    _submatrix_smax,
+    _swap_values,
+    _witness_vector,
     check_event_A,
     check_event_constants,
     singular_extremes,
     sparse_supremum,
 )
+from dmlab.seeding import child_seed
 
 
 def test_extremes_orthonormal_and_diagonal():
@@ -20,24 +26,23 @@ def test_extremes_orthonormal_and_diagonal():
     assert smax == pytest.approx(3.0, rel=1e-8)
 
 
-def test_power_iteration_matches_full_decomposition():
+def test_extremes_match_lapack_on_tall_wide_and_square():
     rng = np.random.default_rng(0)
     for shape in ((40, 12), (12, 40), (64, 64)):
         M = rng.standard_normal(shape)
         sv = np.linalg.svd(M, compute_uv=False)
         smin, smax = singular_extremes(M)
-        assert abs(smax - sv[0]) / sv[0] <= 1e-6
-        assert abs(smin - sv[-1]) <= 1e-6 * sv[0]
+        assert abs(smax - sv[0]) <= 1e-12 * sv[0]
+        assert abs(smin - sv[-1]) <= 1e-12 * sv[-1]
 
 
-def test_extremes_large_side_uses_shifted_iteration():
+def test_extremes_match_lapack_when_both_sides_exceed_64():
     rng = np.random.default_rng(1)
-    M = rng.standard_normal((90, 70))  # min(dims) > 64
+    M = rng.standard_normal((90, 70))
     sv = np.linalg.svd(M, compute_uv=False)
     smin, smax = singular_extremes(M)
-    assert abs(smax - sv[0]) / sv[0] <= 1e-6
-    # shifted iteration plateaus once Rayleigh increments fall below tol
-    assert abs(smin - sv[-1]) / sv[-1] <= 2e-3
+    assert abs(smax - sv[0]) <= 1e-12 * sv[0]
+    assert abs(smin - sv[-1]) <= 1e-12 * sv[-1]
 
 
 def test_extremes_zero_matrix():
@@ -111,6 +116,149 @@ def test_sparse_validation():
         sparse_supremum(X, 6)
     with pytest.raises(ValueError):
         sparse_supremum(X, 2, method="magic")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("method", ["greedy", "exact"])
+def test_sparse_supremum_rejects_non_finite_columns(bad, method):
+    X = np.random.default_rng(0).standard_normal((3, 8))
+    X[1, 5] = bad
+    with pytest.raises(ValueError, match="finite"):
+        sparse_supremum(X, 2, method=method)
+
+
+# The swap search and the exact enumeration as they were before the search
+# pruned candidates by a closed-form bound and the enumeration was batched,
+# kept verbatim as the reference of the bit-identity tests below.
+def _reference_swap_values(X, support, i, cand):
+    d = X.shape[0]
+    rest = [s for s in support if s != i]
+    k = len(rest) + 1
+    B = X[:, cand]                              # d x c
+    c = B.shape[1]
+    if k <= d:
+        sub = X[:, rest]                        # d x (k-1)
+        g0 = sub.T @ sub
+        cross = sub.T @ B                       # (k-1) x c
+        grams = np.empty((c, k, k))
+        grams[:, :k - 1, :k - 1] = g0
+        grams[:, :k - 1, k - 1] = cross.T
+        grams[:, k - 1, :k - 1] = cross.T
+        grams[:, k - 1, k - 1] = (B * B).sum(axis=0)
+    else:
+        sub = X[:, rest]
+        g0 = sub @ sub.T                        # d x d
+        grams = g0[None, :, :] + B.T[:, :, None] * B.T[:, None, :]
+    top = np.linalg.eigvalsh(grams)[:, -1]
+    return np.sqrt(np.maximum(top, 0.0))
+
+
+def _reference_greedy(X, k, restarts, seed):
+    _, m = X.shape
+    best_val, best_sup = -1.0, None
+    for r in range(restarts):
+        rng = np.random.default_rng(child_seed(seed, r))
+        support = sorted(int(i) for i in rng.choice(m, size=k, replace=False))
+        val = _submatrix_smax(X[:, support])
+        for _ in range(100):
+            in_support = np.zeros(m, dtype=bool)
+            in_support[support] = True
+            cand = np.flatnonzero(~in_support)
+            swap, swap_val = None, val
+            if cand.size:
+                for i in support:
+                    vals = _reference_swap_values(X, support, i, cand)
+                    jbest = int(np.argmax(vals))
+                    if vals[jbest] > swap_val + 1e-12:
+                        swap_val, swap = float(vals[jbest]), (i, int(cand[jbest]))
+            if swap is None:
+                break
+            support = sorted([s for s in support if s != swap[0]] + [swap[1]])
+            val = swap_val
+        sup_t = tuple(support)
+        if val > best_val or (val == best_val and sup_t < best_sup):
+            best_val, best_sup = val, sup_t
+    return best_val, best_sup, _witness_vector(X[:, list(best_sup)], best_sup, m)
+
+
+def _reference_exact(X, k):
+    _, m = X.shape
+    best_val, best_sup = -1.0, None
+    for sup in combinations(range(m), k):
+        val = _submatrix_smax(X[:, sup])
+        if val > best_val:
+            best_val, best_sup = val, sup
+    return best_val, best_sup, _witness_vector(X[:, best_sup], best_sup, m)
+
+
+def _search_cases():
+    rng = np.random.default_rng(8)
+    gauss = rng.standard_normal((5, 40))
+    dup = np.concatenate([gauss[:, :12], gauss[:, :12]], axis=1)  # exact value ties
+    return {
+        "k=1": (gauss, 1),
+        "k<=d": (gauss, 4),
+        "k=d": (gauss, 5),
+        "k>d": (gauss, 9),
+        "duplicated columns": (dup, 3),
+        "duplicated columns k>d": (dup, 7),
+        "zero matrix": (np.zeros((4, 20)), 3),
+        "heavy-tailed": (rng.standard_t(2.5, size=(6, 48)), 4),
+        "heavy-tailed k>d": (rng.standard_t(2.5, size=(3, 30)), 5),
+    }
+
+
+def _assert_bit_identical(got, ref):
+    value, support, witness = ref
+    assert np.float64(got.value).tobytes() == np.float64(value).tobytes()
+    assert got.support == tuple(support)
+    assert got.witness.tobytes() == witness.tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(_search_cases()))
+def test_greedy_matches_reference_search_bit_for_bit(case):
+    X, k = _search_cases()[case]
+    for seed in (0, 1):
+        got = sparse_supremum(X, k, method="greedy", restarts=6, seed=seed)
+        _assert_bit_identical(got, _reference_greedy(X, k, 6, seed))
+
+
+@pytest.mark.parametrize("chunk_bytes", [events._EXACT_CHUNK_BYTES, 1, 4096])
+@pytest.mark.parametrize("case", sorted(_search_cases()))
+def test_exact_matches_reference_enumeration_bit_for_bit(case, chunk_bytes, monkeypatch):
+    # chunk_bytes 1 puts one support in each chunk, 4096 a few dozen, so ties
+    # also meet across chunk boundaries
+    monkeypatch.setattr(events, "_EXACT_CHUNK_BYTES", chunk_bytes)
+    X, k = _search_cases()[case]
+    X = X[:, :14]  # C(14, 9) = 2002 supports at most
+    got = sparse_supremum(X, k, method="exact")
+    _assert_bit_identical(got, _reference_exact(X, k))
+
+
+@pytest.mark.parametrize("case", sorted(_search_cases()))
+def test_swap_bound_keeps_every_candidate_that_reaches_the_floor(case):
+    X, k = _search_cases()[case]
+    m = X.shape[1]
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        support = sorted(int(s) for s in rng.choice(m, size=k, replace=False))
+        cand = np.setdiff1d(np.arange(m), support)
+        for i in support:
+            ref = _reference_swap_values(X, support, i, cand)
+            for floor in np.unique(ref):
+                keep, vals = _swap_values(X, support, i, cand, float(floor))
+                assert set(np.flatnonzero(ref >= floor)) <= set(keep.tolist())
+                assert vals.tobytes() == ref[keep].tobytes()
+
+
+def test_swap_bound_prunes_most_candidates_at_the_best_value():
+    X = np.random.default_rng(9).standard_normal((16, 512))
+    support = [3, 70, 200, 411]
+    cand = np.setdiff1d(np.arange(512), support)
+    for i in support:
+        best = _reference_swap_values(X, support, i, cand).max()
+        keep, _ = _swap_values(X, support, i, cand, float(best))
+        assert 1 <= keep.size <= cand.size // 4
 
 
 @pytest.mark.parametrize("restarts", [0, -1, 2.5])

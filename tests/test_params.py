@@ -161,3 +161,15 @@ def test_solver_constants_must_be_positive(field):
     for value in (0.0, -1.0):
         with pytest.raises(ValueError, match="positive"):
             solve_parameters(0.25, 6.0, 100.0, 64, SolverConstants(**{field: value}))
+
+
+def test_literal_reading_root_survives_underflowing_lambert_argument():
+    # z = -2a b^2 e^(-2a) underflows at c2 = 1e-160, but the root is an
+    # ordinary float: W_{-1} is then evaluated from log(-z).
+    for c2, theta in ((1e-150, 2.3978e-61), (1e-160, 2.37e-65)):
+        sol = solve_parameters(0.25, 3.0, 100.0, 512, SolverConstants(c2=c2),
+                               exponent_reading="literal")
+        assert sol.theta == pytest.approx(theta, rel=1e-3)
+        assert sol.reason != "theta-constraint unsatisfiable"
+        log_f = _a(3.0, "literal") * math.log(sol.theta) + 0.5 * math.log(1.0 - math.log(sol.theta))
+        assert log_f == pytest.approx(math.log(c2 / math.log(20.0)), rel=1e-12)
