@@ -1,9 +1,11 @@
 """Running a reproducible sweep through the experiment runner.
 
 Configs are plain JSON; every trial's seed is derived from the master seed
-and the trial index, so re-running a config (at any --threads value)
-reproduces the CSV and summary byte for byte.  The same run is available
-from the shell:
+and the trial index, so re-running a config reproduces the CSV and summary
+byte for byte, whether it runs in this process (threads=1) or in worker
+processes forked from it (threads=4 below, capped at the CPU count; the
+schedule contexts and then the trials are tasks of the pool).  The same run
+is available from the shell:
 
     dmlab run demos/configs/gaussian_sanity.json --out-dir /tmp/dm-out
     dmlab plot /tmp/dm-out/summary.json --kind ratioVsN

@@ -85,7 +85,10 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute an experiment config")
     p_run.add_argument("config")
     p_run.add_argument("--seed", type=int, default=None, help="override masterSeed")
-    p_run.add_argument("--threads", type=int, default=1)
+    p_run.add_argument("--threads", type=int, default=1,
+                       help="worker processes, forked and capped at the CPU count "
+                            "(default 1: run in this process); the files are the "
+                            "same at any count")
     p_run.add_argument("--out-dir", default=".")
     p_run.set_defaults(func=_cmd_run)
 

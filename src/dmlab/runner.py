@@ -5,10 +5,11 @@ rules deriving the subspace dimension d and the intermediate dimension m from
 each ambient n.  The table `_KINDS` maps each kind to its trial function and
 to what its config must carry; `_D_RULES` and `_M_RULES` pair each rule's
 check with its derivation.  Every trial draws its own seed from the master
-seed and the global trial index, so sweeps are embarrassingly parallel and
-re-running a config reproduces the CSV and the JSON summary byte for byte at
-any thread count (ordered reduction; per-trial wall time is recorded only
-when `recordTiming` is set, since real timings break byte-identity).
+seed and the global trial index, so sweeps are embarrassingly parallel: they
+run in forked worker processes (see `run_experiment`), and the ordered
+reduction reproduces the CSV and the JSON summary byte for byte at any worker
+count (per-trial wall time is recorded only when `recordTiming` is set, since
+real timings break byte-identity).
 
 Outputs: one RFC-4180 CSV row per trial (floats at 17 significant digits,
 failures recorded in an error column instead of aborting the sweep) and a
@@ -19,12 +20,14 @@ calibration block and, for processSandbox, the trials' mean concentration tail.
 from __future__ import annotations
 
 import csv
+import ctypes
 import hashlib
 import json
 import math
+import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -449,6 +452,39 @@ def _safe_trial(config: ExperimentConfig, ctx: _ScheduleContext,
     return rec
 
 
+# Symbol prefix and suffix of the OpenBLAS builds in numpy's wheels (numpy >= 2, then 1.x).
+_OPENBLAS_SYMBOLS = (("scipy_openblas_", "64_"), ("openblas_", "64_"), ("openblas_", ""))
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: one BLAS thread per forked worker.
+
+    A forked worker inherits its parent's BLAS thread count, by default one
+    per core, so two workers on two cores would each run a full BLAS pool.
+    The environment variables act only when BLAS loads, so the thread count
+    is set through OpenBLAS's own functions, looked up through numpy's LAPACK
+    extension, which links numpy's BLAS.  Another BLAS keeps its count.
+    """
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for prefix, suffix in _OPENBLAS_SYMBOLS:
+        getter = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+        if getter is not None:
+            getter.argtypes, getter.restype = (), ctypes.c_int
+            if getter() > 1:  # setting it costs time per worker even when it is 1
+                setter = getattr(lib, f"{prefix}set_num_threads{suffix}")
+                setter.argtypes, setter.restype = (ctypes.c_int,), None
+                setter(1)
+            return
+
+
+def _sweep(config: ExperimentConfig, ordered_map: Callable) -> tuple:
+    """(contexts, records): the schedule contexts, then the trials, through `ordered_map`."""
+    contexts = list(ordered_map(_schedule_context, repeat(config), range(len(config.schedule))))
+    per_trial = (ctx for ctx in contexts for _ in range(config.trials))
+    tasks = [(ctx, t, child_seed(config.master_seed, t)) for t, ctx in enumerate(per_trial)]
+    return contexts, list(ordered_map(_safe_trial, repeat(config), *zip(*tasks)))
+
+
 def _quartiles(vals) -> tuple:
     arr = np.array([v for v in vals if v is not None], dtype=float)
     arr = arr[np.isfinite(arr)]
@@ -468,21 +504,34 @@ class RunResult:
 
 
 def run_experiment(config: ExperimentConfig | dict, out_dir=".", threads: int = 1) -> RunResult:
-    """Execute the sweep and write the CSV + JSON summary files."""
+    """Execute the sweep and write the CSV + JSON summary files.
+
+    `threads` is the number of worker processes, an integer >= 1, capped at
+    the CPU count and the number of trials.  At 1 everything runs in this
+    process.  Above 1 a pool of processes forked from this one, each with one
+    BLAS thread, first builds the schedule contexts (mean width, sphere net),
+    one task per schedule entry, then runs the trials; the records come back
+    in trial order, so the files are byte-identical at every worker count.
+    Being forked, the workers see patches of this module's globals.
+    """
     if isinstance(config, dict):
         config = parse_config(config)
+    _require(_is_int(threads), "threads must be an integer >= 1")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    contexts = [_schedule_context(config, i) for i in range(len(config.schedule))]
-    per_trial = (ctx for ctx in contexts for _ in range(config.trials))
-    tasks = [(ctx, t, child_seed(config.master_seed, t)) for t, ctx in enumerate(per_trial)]
+    workers = min(threads, os.cpu_count() or 1, len(config.schedule) * config.trials)
+    if workers > 1:
+        # Fork, not spawn: a spawned worker pays for a fresh interpreter and
+        # the dmlab import (0.7-0.9 s on 2 vCPUs), more than many whole sweeps.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(lambda a: _safe_trial(config, *a), tasks))
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_one_blas_thread) as pool:
+            contexts, records = _sweep(config, pool.map)
     else:
-        records = [_safe_trial(config, *a) for a in tasks]
+        contexts, records = _sweep(config, map)
 
     outputs = config.raw.get("outputs", {})
     csv_path = out_dir / outputs.get("csv", "trials.csv")

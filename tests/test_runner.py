@@ -1,6 +1,9 @@
 import csv
+import ctypes
 import json
 import math
+import multiprocessing
+import os
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +21,7 @@ from dmlab.runner import (
     run_experiment,
     verify_summary,
 )
+from dmlab.seeding import child_seed
 
 BASE_CFG = {
     "experimentKind": "gaussianDM",
@@ -316,6 +320,80 @@ def test_trial_failures_become_rows(tmp_path, monkeypatch):
     assert len(bad) == 1
     assert "synthetic trial failure" in bad[0].error
     assert len(res.records) == BASE_CFG["trials"]
+
+
+def test_trial_failures_become_rows_in_worker_processes(tmp_path, monkeypatch):
+    # A call counter in the patch would stay in each worker, so fail one trial by its seed.
+    failing_seed = child_seed(child_seed(BASE_CFG["masterSeed"], 2), 1)
+    orig = runner_mod.measure_distortion
+
+    def flaky(*args, seed, **kwargs):
+        if seed == failing_seed:
+            raise RuntimeError(f"synthetic trial failure in process {os.getpid()}")
+        return orig(*args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(runner_mod, "measure_distortion", flaky)
+    res = run_experiment(BASE_CFG, out_dir=tmp_path, threads=2)
+    bad = [r for r in res.records if r.error]
+    assert res.failures == 1 and [r.trial_index for r in bad] == [2]
+    assert bad[0].error.startswith("RuntimeError: synthetic trial failure in process ")
+    if (os.cpu_count() or 1) > 1:  # the trial ran in a worker, not in this process
+        assert not bad[0].error.endswith(f" {os.getpid()}")
+    assert len(res.records) == BASE_CFG["trials"]
+    assert multiprocessing.active_children() == []
+
+
+def test_context_errors_are_the_same_in_worker_processes(tmp_path):
+    cfg = {**BASE_CFG, "schedule": [2, 64],
+           "body": {"kind": "PolarPolytope", "dualVertices": [[1.0, 0.0], [0.5, 1.0]]},
+           "dRule": {"rule": "fixed", "d": 1},
+           "distortionMethod": {"method": "multiStartOpt", "starts": 2}}
+    for threads in (1, 2):
+        with pytest.raises(ConfigError,
+                           match=r"^PolarPolytope dimension 2 does not match schedule n=64$"):
+            run_experiment(cfg, out_dir=tmp_path / str(threads), threads=threads)
+    assert multiprocessing.active_children() == []
+
+
+def test_threads_above_the_cpu_count_give_the_same_bytes(tmp_path):
+    run_experiment(BASE_CFG, out_dir=tmp_path / "a", threads=1)
+    run_experiment(BASE_CFG, out_dir=tmp_path / "b", threads=(os.cpu_count() or 1) + 3)
+    for name in ("trials.csv", "summary.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_processes_run_one_blas_thread(tmp_path, monkeypatch):
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    getters = [f"{pre}get_num_threads{suf}" for pre, suf in runner_mod._OPENBLAS_SYMBOLS]
+    getter = next((getattr(lib, n) for n in getters if hasattr(lib, n)), None)
+    if getter is None:
+        pytest.skip("numpy's BLAS has no known thread-count getter")
+    getter.argtypes, getter.restype = (), ctypes.c_int
+    before = getter()
+
+    def report(*args, **kwargs):
+        raise RuntimeError(f"BLAS threads {getter()}")
+
+    monkeypatch.setattr(runner_mod, "measure_distortion", report)
+    res = run_experiment(BASE_CFG, out_dir=tmp_path, threads=2)
+    expected = 1 if (os.cpu_count() or 1) > 1 else before  # one CPU: no pool
+    assert {r.error for r in res.records} == {f"RuntimeError: BLAS threads {expected}"}
+    assert getter() == before  # the caller's BLAS is left as it was
+
+
+@pytest.mark.parametrize("threads", [0, -2, 1.5, True, "2"])
+def test_threads_must_be_a_positive_integer(tmp_path, threads):
+    with pytest.raises(ConfigError, match="threads must be an integer >= 1"):
+        run_experiment(BASE_CFG, out_dir=tmp_path / "out", threads=threads)
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_rejects_zero_threads_with_exit_2(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(BASE_CFG))
+    assert cli_main(["run", str(path), "--threads", "0", "--out-dir", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_cube_kind_records_witness(tmp_path):
