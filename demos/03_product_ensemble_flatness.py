@@ -25,7 +25,7 @@ for n in (128, 512, 2048):
     prod_r, single_r = [], []
     for s in seeds:
         ps = product_spec("UniformPM1", "UniformPM1", n=n, d=d, m=m)
-        gamma, _, _ = sample_product(ps, child_seed(1, s))
+        gamma, _ = sample_product(ps, child_seed(1, s))
         rep = measure_distortion(body, gamma, "exactRowNorm", starts=48,
                                  seed=child_seed(2, s))
         prod_r.append(rep.ratio)
@@ -43,7 +43,7 @@ for col in ("UniformPM1", "LogConcaveSimplex", "HeavyTailedBounded"):
     rats = []
     for s in seeds:
         ps = product_spec("UniformIsotropic", col, n=n, d=d, m=m)
-        gamma, _, _ = sample_product(ps, child_seed(5, s))
+        gamma, _ = sample_product(ps, child_seed(5, s))
         rep = measure_distortion(body, gamma, "exactRowNorm", starts=48,
                                  seed=child_seed(6, s))
         rats.append(rep.ratio)

@@ -94,6 +94,12 @@ def norm_many(body: ConvexBody, X: np.ndarray) -> np.ndarray:
     """||x||_K for each row x of X (shape (k, n)), K being the body's unit ball."""
     X = np.asarray(X, dtype=float)
     _check_input(body, X)
+    return _norm_many_unchecked(body, X)
+
+
+def _norm_many_unchecked(body: ConvexBody, X: np.ndarray) -> np.ndarray:
+    """norm_many without the input check, for a float X of width body.n whose
+    entries the caller knows to be finite (the optimizer's inner loop)."""
     if isinstance(body, LpBall):
         if math.isinf(body.p):
             return np.abs(X).max(axis=-1)
@@ -105,7 +111,7 @@ def norm_many(body: ConvexBody, X: np.ndarray) -> np.ndarray:
     if isinstance(body, PolarPolytope):
         return (X @ body.dual_vertices.T).max(axis=-1)
     if isinstance(body, DiagonalImage):
-        return norm_many(body.base, X / body.scales)
+        return _norm_many_unchecked(body.base, X / body.scales)
     raise TypeError(f"unsupported body {type(body).__name__}")
 
 

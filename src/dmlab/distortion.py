@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dmlab.bodies import ConvexBody, DiagonalImage, LpBall, PolarPolytope, norm_many
+from dmlab.bodies import (ConvexBody, DiagonalImage, LpBall, PolarPolytope,
+                          _norm_many_unchecked, norm_many)
 from dmlab.events import singular_extremes
 from dmlab.nets import SphereNet
 from dmlab.seeding import child_seed
@@ -88,7 +89,9 @@ def _multistart(body: ConvexBody, gamma: np.ndarray, starts: int, seed: int,
 
     P = X @ Gamma^T is kept for every start and updated from the candidate
     projections of accepted steps; a start retires once its step falls below
-    1e-12, and only active starts are stepped and evaluated.
+    1e-12, and only active starts are stepped and evaluated.  The first
+    evaluation checks its input; the loop's candidates are unit vectors mapped
+    by the same Gamma, so their evaluations skip the check.
     """
     d = gamma.shape[1]
     rng = np.random.default_rng(seed)
@@ -107,7 +110,7 @@ def _multistart(body: ConvexBody, gamma: np.ndarray, starts: int, seed: int,
         cn[cn == 0.0] = 1.0
         cand /= cn
         cand_p = cand @ gamma.T
-        cvals = norm_many(body, cand_p)
+        cvals = _norm_many_unchecked(body, cand_p)
         better = cvals > vals[active] if mode > 0 else cvals < vals[active]
         moved = active[better]
         X[moved] = cand[better]
@@ -130,6 +133,8 @@ def measure_distortion(
 ) -> DistortionReport:
     """Sup/inf of ||Gamma x||_K over the unit sphere of R^d, with method tags."""
     gamma = np.asarray(gamma, dtype=float)
+    if not np.all(np.isfinite(gamma)):
+        raise ValueError("Gamma contains NaN or infinity")
     n, d = gamma.shape
     if body.n != n:
         raise ValueError(f"body dimension {body.n} does not match Gamma rows {n}")

@@ -16,6 +16,9 @@ are isotropic (identity covariance per vector copy):
 
 Entry-level kinds fill the matrix directly.  Vector-level kinds (spherical,
 simplex, heavy-tailed) draw iid vector copies along `vector_axis`.
+
+`sample_product` draws the m x n row factor in row blocks and adds each
+block's share to Gamma, so its memory is O(block + n d + d m), not O(m n).
 """
 
 from __future__ import annotations
@@ -43,6 +46,10 @@ _T_SCALE = 1.0 / math.sqrt(_T_DOF / (_T_DOF - 2.0))  # unit variance
 _REJECTION_RADIUS = 100.0
 
 _SIZE_CAP = 2**33  # entries; guards accidental huge allocations
+# Row-factor bytes per block of sample_product.  At n = 4096, m = 8192 on a
+# 2-vCPU Xeon with one BLAS thread, a draw took 0.275 s (median of 15) with
+# 2 MiB blocks, against 0.287 s with 1 MiB and 0.307 s with 8 MiB.
+_PRODUCT_BLOCK_BYTES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -103,8 +110,19 @@ def _sample_vectors(kind: str, rng: np.random.Generator, count: int, dim: int) -
     raise ValueError(kind)
 
 
-def sample_matrix(spec: EnsembleSpec, seed: int) -> np.ndarray:
-    """Materialize one draw; deterministic given (spec, seed)."""
+def sample_matrix(spec: EnsembleSpec, seed: int | np.random.Generator) -> np.ndarray:
+    """Materialize one draw; deterministic given (spec, seed).
+
+    `seed` is an int or a Generator.  A Generator is drawn from as it stands,
+    so consecutive row blocks of a GaussianIID, SphericalRows, UniformPM1,
+    UniformIsotropic or RademacherIID spec drawn from one Generator equal one
+    draw of all the rows, bit for bit.  LogConcaveSimplex draws all of its
+    exponentials before its signs and HeavyTailedBounded redraws rejected
+    vectors after the whole batch, so a blocked draw of those laws is a
+    different valid draw.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer, np.random.Generator)):
+        raise TypeError(f"seed must be an int or a numpy Generator, got {type(seed).__name__}")
     rng = np.random.default_rng(seed)
     shape = (spec.rows, spec.cols)
     if spec.kind == "GaussianIID":
@@ -164,15 +182,29 @@ def product_spec(z_kind: str, x_kind: str, n: int, d: int, m: int) -> ProductEns
 
 
 def sample_product(spec: ProductEnsembleSpec, seed: int):
-    """Draw (Gamma, Gamma1, Gamma2).
+    """Draw (Gamma, Gamma2).
 
-    Gamma1 is m x n with rows Z_i / sqrt(m); Gamma2 is d x m with columns X_i;
-    Gamma = Gamma1^T Gamma2^T is the assembled n x d map.  All three are
-    returned so spectral/sparse event checks can run on the raw factors.
+    Gamma2 is d x m with columns X_i; Gamma = m^(-1/2) sum_i Z_i X_i^T is the
+    assembled n x d map, Z_i being the rows of the m x n row factor.  The row
+    factor is drawn in blocks of `_PRODUCT_BLOCK_BYTES` through `sample_matrix`
+    from one Generator seeded with child_seed(seed, 1), each block scaled by
+    1/sqrt(m) and folded into Gamma, so memory is O(block + n d + d m).  A
+    factor that fits in one block gives the Gamma of one whole draw, bit for
+    bit.  With more blocks, the entry-level and SphericalRows row laws give
+    the same rows and Gamma differs only by the GEMM's summation order; the
+    other vector-level row laws give a different valid draw (see
+    `sample_matrix`).
     """
-    g1 = sample_matrix(spec.row_spec, child_seed(seed, 1)) / math.sqrt(spec.m)
     g2 = sample_matrix(spec.col_spec, child_seed(seed, 2))
-    return g1.T @ g2.T, g1, g2
+    rng = np.random.default_rng(child_seed(seed, 1))
+    block = max(1, _PRODUCT_BLOCK_BYTES // (8 * spec.n))
+    gamma = None
+    for start in range(0, spec.m, block):
+        stop = min(start + block, spec.m)
+        z = sample_matrix(replace(spec.row_spec, rows=stop - start), rng) / math.sqrt(spec.m)
+        part = z.T @ g2[:, start:stop].T
+        gamma = part if gamma is None else np.add(gamma, part, out=gamma)
+    return gamma, g2
 
 
 @dataclass(frozen=True)

@@ -366,7 +366,7 @@ def _cube_trial(cfg, ctx, seed, laws) -> dict:
 
 def _product_trial(cfg, ctx, seed, laws) -> dict:
     pspec = product_spec(laws["row"], laws["col"], n=ctx.n, d=ctx.d, m=ctx.m)
-    gamma, _, _ = sample_product(pspec, child_seed(seed, 0))
+    gamma, _ = sample_product(pspec, child_seed(seed, 0))
     return _distortion_fields(cfg, ctx, gamma, seed)
 
 

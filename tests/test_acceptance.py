@@ -215,7 +215,7 @@ def test_a04_cross_method_certification():
     sup_devs, inf_devs = [], []
     for s in range(20):
         seed = child_seed(77, s)
-        gamma, _, _ = sample_product(pspec, child_seed(seed, 0))
+        gamma, _ = sample_product(pspec, child_seed(seed, 0))
         rn = measure_distortion(body, gamma, "netCertified", net=net,
                                 seed=child_seed(seed, 1))
         ro = measure_distortion(body, gamma, "multiStartOpt", starts=64,

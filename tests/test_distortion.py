@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dmlab import bodies
 from dmlab.bodies import LpBall, diagonal_image, mean_width, norm_many, polar_polytope
 from dmlab.calibration import GAUSSIAN_BAND
 from dmlab.distortion import (
@@ -118,18 +119,27 @@ def test_multistart_matches_full_width_loop(family, mode):
 
 def test_multistart_evaluates_norms_once_per_iteration(monkeypatch):
     # the subgradient reuses the norms the loop already holds; at 30 iterations
-    # no step can fall below 1e-12 (0.5 * 2**-30 > 1e-12), so no start retires
-    calls = []
+    # no step can fall below 1e-12 (0.5 * 2**-30 > 1e-12), so no start retires.
+    # Every evaluation, checked or not, goes through the unchecked evaluator.
+    calls, checked = [], []
+    evaluate = bodies._norm_many_unchecked
+
+    def counting_evaluator(body, X):
+        calls.append(X.shape[0])
+        return evaluate(body, X)
 
     def counting_norm_many(body, X):
-        calls.append(X.shape[0])
+        checked.append(X.shape[0])
         return norm_many(body, X)
 
+    monkeypatch.setattr("dmlab.bodies._norm_many_unchecked", counting_evaluator)
+    monkeypatch.setattr("dmlab.distortion._norm_many_unchecked", counting_evaluator)
     monkeypatch.setattr("dmlab.distortion.norm_many", counting_norm_many)
     rng = np.random.default_rng(0)
     G = rng.standard_normal((1024, 12))
     _multistart(LpBall(3.0, 1024), G, 64, 0, -1, iters=30)
     assert len(calls) == 1 + 30
+    assert checked == [2 * 12 + 64]  # only the first evaluation checks its input
 
 
 def test_net_certified_brackets_truth():
@@ -165,6 +175,18 @@ def test_method_body_compatibility():
         measure_distortion(LpBall(2, 16), G, "netCertified", seed=0)
     with pytest.raises(ValueError):
         measure_distortion(LpBall(2, 8), G, "exactSpectral", seed=0)  # dim mismatch
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("method, p", [("exactSpectral", 2.0), ("exactRowNorm", math.inf),
+                                       ("multiStartOpt", 3.0), ("netCertified", 2.0)])
+def test_non_finite_gamma_is_rejected(method, p, bad):
+    G = np.random.default_rng(0).standard_normal((16, 2))
+    G[5, 1] = bad
+    net = build_sphere_net(2, 0.3, 1000, 1) if method == "netCertified" else None
+    assert net is None or net.covering_radius_estimate <= net.rho
+    with pytest.raises(ValueError, match="NaN or infinity"):
+        measure_distortion(LpBall(p, 16), G, method, net=net, seed=0)
 
 
 def test_multistart_supports_polytope_bodies():

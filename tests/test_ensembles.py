@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from dmlab.ensembles import (
     sample_matrix,
     sample_product,
 )
+from dmlab.seeding import child_seed
 
 ISOTROPIC_KINDS = ("GaussianIID", "UniformIsotropic", "RademacherIID",
                    "LogConcaveSimplex", "HeavyTailedBounded")
@@ -101,17 +104,73 @@ def test_simplex_ball_scaling_gives_identity_covariance():
     assert err <= 0.05
 
 
+def _row_factor(ps, seed):
+    """The product's row factor Z (rows Z_i), redrawn in one piece."""
+    return sample_matrix(ps.row_spec, child_seed(seed, 1))
+
+
 def test_product_shapes_and_identity():
     ps = product_spec("UniformPM1", "UniformPM1", n=32, d=8, m=64)
-    G, G1, G2 = sample_product(ps, 11)
-    assert G.shape == (32, 8) and G1.shape == (64, 32) and G2.shape == (8, 64)
-    assert np.allclose(G, G1.T @ G2.T)
+    G, G2 = sample_product(ps, 11)
+    assert G.shape == (32, 8) and G2.shape == (8, 64)
+    Z = _row_factor(ps, 11)
+    assert np.array_equal(G2, sample_matrix(ps.col_spec, child_seed(11, 2)))
+    assert np.allclose(G, Z.T @ G2.T / math.sqrt(64))
     # <Gamma v, t> = (1/sqrt m) sum_i <X_i, v> <Z_i, t>
     rng = np.random.default_rng(0)
     v, t = rng.standard_normal(8), rng.standard_normal(32)
-    Z = G1 * math.sqrt(64)
     rhs = np.sum((G2.T @ v) * (Z @ t)) / math.sqrt(64)
     assert (G @ v) @ t == pytest.approx(rhs, rel=1e-10)
+
+
+@pytest.mark.parametrize("block_bytes, n, m", [
+    (None, 48, 40),        # one block at the module's block size
+    (8 * 48 * 7, 48, 40),  # 7-row blocks; 40 is not a multiple of 7
+    (8 * 30 * 3, 30, 64),  # 3-row blocks
+])
+@pytest.mark.parametrize("z_kind", ["UniformPM1", "RademacherIID", "SphericalRows"])
+def test_streamed_product_matches_one_draw(monkeypatch, block_bytes, n, m, z_kind):
+    if block_bytes is not None:
+        monkeypatch.setattr("dmlab.ensembles._PRODUCT_BLOCK_BYTES", block_bytes)
+    ps = product_spec(z_kind, "UniformIsotropic", n=n, d=5, m=m)
+    G, G2 = sample_product(ps, 5)
+    want = (_row_factor(ps, 5) / math.sqrt(m)).T @ G2.T
+    np.testing.assert_allclose(G, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+    if block_bytes is None:
+        assert np.array_equal(G, want)
+
+
+def test_streamed_product_memory_stays_below_the_row_factor():
+    # the whole row factor at n = 2048, m = 4096 is 64 MiB of float64
+    ps = product_spec("UniformPM1", "UniformPM1", n=2048, d=15, m=4096)
+    tracemalloc.start()
+    try:
+        sample_product(ps, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2048 * 4096 / 4
+
+
+@pytest.mark.parametrize("kind", ["GaussianIID", "SphericalRows", "UniformPM1",
+                                  "UniformIsotropic", "RademacherIID"])
+@pytest.mark.parametrize("block", [1, 3, 7, 10])
+def test_row_blocks_from_one_generator_equal_one_draw(kind, block):
+    spec = EnsembleSpec(kind, 23, 9)
+    rng = np.random.default_rng(41)
+    parts = [sample_matrix(replace(spec, rows=min(block, 23 - start)), rng)
+             for start in range(0, 23, block)]
+    assert np.array_equal(np.concatenate(parts), sample_matrix(spec, 41))
+
+
+def test_sample_matrix_takes_an_int_or_a_generator():
+    spec = EnsembleSpec("GaussianIID", 3, 2)
+    assert np.array_equal(sample_matrix(spec, np.random.default_rng(5)),
+                          sample_matrix(spec, 5))
+    assert np.array_equal(sample_matrix(spec, np.int64(5)), sample_matrix(spec, 5))
+    for seed in (1.0, "7", None, True, np.random.SeedSequence(3)):
+        with pytest.raises(TypeError):
+            sample_matrix(spec, seed)
 
 
 def test_product_second_moment():
@@ -122,7 +181,7 @@ def test_product_second_moment():
     v /= np.linalg.norm(v)
     vals = []
     for s in range(800):
-        G, _, _ = sample_product(ps, s)
+        G, _ = sample_product(ps, s)
         vals.append((G @ v) @ (G @ v))
     vals = np.array(vals)
     se = vals.std(ddof=1) / math.sqrt(len(vals))
