@@ -32,7 +32,8 @@ for entry in result.summary["series"]:
     print(f"n={entry['n']:5d} d={entry['d']:3d}: median sup/inf = "
           f"{entry['medianRatio']:.4f}  IQR [{entry['q25']:.4f}, {entry['q75']:.4f}]")
 
-print("summary medians match the CSV:", verify_summary(result.csv_path, result.summary))
+print("every series statistic rechecked from the CSV:",
+      verify_summary(result.csv_path, result.summary))
 
 plot = emit_plot_data(result.summary, "ratioVsN", out_dir / "ratio_vs_n.csv")
 print(f"plot-ready table at {plot}:")

@@ -66,6 +66,8 @@ ConvexBody = Union[LpBall, PolarPolytope, DiagonalImage]
 def polar_polytope(dual_vertices) -> PolarPolytope:
     """Body whose polar is the symmetric hull of `dual_vertices` (k x n)."""
     V = np.atleast_2d(np.asarray(dual_vertices, dtype=float))
+    if V.ndim != 2:
+        raise ValueError(f"dual vertices must form a k x n array, got {V.ndim} dimensions")
     if V.size == 0:
         raise ValueError("dual vertex list must be nonempty")
     if not np.all(np.isfinite(V)):

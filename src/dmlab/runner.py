@@ -4,17 +4,20 @@ A config names one experiment kind, a body family, a dimension schedule and
 rules deriving the subspace dimension d and the intermediate dimension m from
 each ambient n.  The table `_KINDS` maps each kind to its trial function and
 to what its config must carry; `_D_RULES` and `_M_RULES` pair each rule's
-check with its derivation.  Every trial draws its own seed from the master
-seed and the global trial index, so sweeps are embarrassingly parallel: they
-run in forked worker processes (see `run_experiment`), and the ordered
-reduction reproduces the CSV and the JSON summary byte for byte at any worker
-count (per-trial wall time is recorded only when `recordTiming` is set, since
-real timings break byte-identity).
+check with its derivation.  `parse_config` validates a config once and
+resolves what the sweep reads: the bodies, the ensemble laws, the distortion
+method, event A's constants, the process sizes and the experiment id.  Every
+trial draws its own seed from the master seed and the global trial index, so
+sweeps are embarrassingly parallel: they run in forked worker processes (see
+`run_experiment`), and the ordered reduction reproduces the CSV and the JSON
+summary byte for byte at any worker count (per-trial wall time is recorded
+only when `recordTiming` is set, since real timings break byte-identity).
 
 Outputs: one RFC-4180 CSV row per trial (floats at 17 significant digits,
 failures recorded in an error column instead of aborting the sweep) and a
-JSON summary embedding the config echo, per-n quartile series, the frozen
-calibration block and, for processSandbox, the trials' mean concentration tail.
+JSON summary embedding the config echo, per-n quartile series (built from the
+CSV rows, as `verify_summary` rebuilds them), the frozen calibration block and,
+for processSandbox, the trials' mean concentration tail.
 """
 
 from __future__ import annotations
@@ -125,20 +128,25 @@ def _check_rule(cfg: dict, name: str, rules: dict, schedule_len: int) -> None:
 class ExperimentConfig:
     raw: dict                       # validated config as given (the echo)
     experiment_kind: str
+    experiment_id: str
     schedule: tuple
     trials: int
     master_seed: int
     record_timing: bool
-
-    @property
-    def experiment_id(self) -> str:
-        digest = hashlib.sha256(
-            json.dumps(self.raw, sort_keys=True).encode()).hexdigest()[:12]
-        return f"{self.experiment_kind}-{digest}"
+    bodies: tuple                   # one body per schedule entry; () for processSandbox
+    laws: dict                      # ensemble slot -> law, defaults filled in
+    distortion: dict | None         # distortionMethod, `starts` defaulted to 32
+    event: tuple | None             # event A's (kappa1, delta, theta, restarts)
+    process: dict                   # process sizes, defaults filled in
 
 
 def parse_config(cfg: dict) -> ExperimentConfig:
-    """Validate a config dict (unknown fields rejected) before any sampling."""
+    """Validate a config dict (unknown fields rejected) and resolve what the sweep reads.
+
+    That is one body per schedule entry, the ensemble laws, distortion method
+    and process sizes with their defaults filled in, event A's theta and delta,
+    solved once, and the experiment id.  No mean width or net is computed here.
+    """
     _expect_keys(cfg, _TOP_KEYS, "config")
     name = cfg.get("experimentKind")
     kind = _KINDS.get(name) if isinstance(name, str) else None
@@ -157,6 +165,7 @@ def parse_config(cfg: dict) -> ExperimentConfig:
     _require(isinstance(record_timing, bool), "recordTiming must be a boolean")
 
     body = cfg.get("body")
+    bodies = ()
     if kind.process:
         _require(body is None, f"{name} takes no body")
     else:
@@ -164,9 +173,9 @@ def parse_config(cfg: dict) -> ExperimentConfig:
         if body.get("kind") == "LpBall":
             p = body.get("p")
             _require(p == "inf" or (_is_num(p) and p >= 1), "body.p must be >= 1 or 'inf'")
+            bodies = tuple(LpBall(math.inf if p == "inf" else float(p), n) for n in schedule)
         elif body.get("kind") == "PolarPolytope":
-            _require(isinstance(body.get("dualVertices"), list) and body["dualVertices"],
-                     "PolarPolytope needs a nonempty dualVertices list")
+            bodies = (_polytope(body.get("dualVertices"), schedule),) * len(schedule)
         else:
             raise ConfigError("body.kind must be 'LpBall' or 'PolarPolytope'")
 
@@ -183,7 +192,7 @@ def parse_config(cfg: dict) -> ExperimentConfig:
         _require(val in ENSEMBLE_KINDS, f"ensembles.{slot} must be one of {ENSEMBLE_KINDS}")
 
     dist = cfg.get("distortionMethod")
-    method = None
+    method = distortion = None
     if dist is None:
         _require(not kind.method_required, f"{name} requires a distortionMethod")
     else:
@@ -199,9 +208,10 @@ def parse_config(cfg: dict) -> ExperimentConfig:
                      "reaches the net maximum M at rho = 1/2, so every certified "
                      "infimum would be <= 0")
             _require(_is_int(dist.get("candidateBudget")), "netCertified needs a candidateBudget")
+        distortion = {"starts": 32, **dist}
     need_p = EXACT_METHOD_P.get(method, kind.lp)
     if need_p is not None:
-        _require(body.get("kind") == "LpBall" and _lp(body) == need_p,
+        _require(isinstance(bodies[0], LpBall) and bodies[0].p == need_p,
                  f"{method if method in EXACT_METHOD_P else name} "
                  f"requires body LpBall({need_p:g}, n)")
 
@@ -209,6 +219,7 @@ def parse_config(cfg: dict) -> ExperimentConfig:
     _expect_keys(constants, {"kappa1", "restarts", "theta", "delta", *_SOLVER_KEYS}, "constants")
     _require(kind.solves_event or "constants" not in cfg, f"{name} takes no constants")
     _require(all(map(_is_num, constants.values())), "constants must be numbers")
+    event = None
     if kind.solves_event:
         given = {"theta", "delta"} & set(constants)
         _require(len(given) != 1, "constants.theta and constants.delta must come together")
@@ -216,8 +227,12 @@ def parse_config(cfg: dict) -> ExperimentConfig:
         _require(not unread, f"constants {unread} are not read when theta and delta are given")
         consts = {**_EVENT_DEFAULTS, **constants}
         try:  # the bounds are those that the solver and the event check enforce
-            theta, delta = _theta_delta(consts)
-            check_event_constants(consts["kappa1"], delta, theta, consts["restarts"])
+            if not given:  # dStar and n do not enter theta or delta
+                sol = solve_parameters(consts["rho"], consts["q"], 1.0, 1, SolverConstants(
+                    **{c: consts[c] for c in ("c0", "c1", "c2", "c3") if c in consts}))
+                consts.update(theta=sol.theta, delta=sol.delta)
+            event = (consts["kappa1"], consts["delta"], consts["theta"], consts["restarts"])
+            check_event_constants(*event)
         except ValueError as exc:
             raise ConfigError(f"constants: {exc}") from None
 
@@ -232,31 +247,26 @@ def parse_config(cfg: dict) -> ExperimentConfig:
     _expect_keys(outputs, {"csv", "summary"}, "outputs")
     _require(all(isinstance(v, str) for v in outputs.values()), "outputs must be file names")
 
+    digest = hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:12]
     return ExperimentConfig(
-        raw=cfg, experiment_kind=name, schedule=tuple(schedule), trials=trials,
-        master_seed=seed, record_timing=record_timing,
+        raw=cfg, experiment_kind=name, experiment_id=f"{name}-{digest}",
+        schedule=tuple(schedule), trials=trials, master_seed=seed,
+        record_timing=record_timing, bodies=bodies, laws={**kind.laws, **ens},
+        distortion=distortion, event=event, process={**_PROCESS_DEFAULTS, **process},
     )
 
 
-def _theta_delta(consts: dict) -> tuple:
-    """Event A's (theta, delta): as given, or solved from rho, q and c0-c3 (dStar, n unused)."""
-    if "theta" in consts:
-        return consts["theta"], consts["delta"]
-    sol = solve_parameters(consts["rho"], consts["q"], 1.0, 1, SolverConstants(
-        **{c: consts[c] for c in ("c0", "c1", "c2", "c3") if c in consts}))
-    return sol.theta, sol.delta
-
-
-def _lp(cfg_body: dict) -> float:
-    return math.inf if cfg_body["p"] == "inf" else float(cfg_body["p"])
-
-
-def _build_body(cfg_body: dict, n: int):
-    if cfg_body["kind"] == "LpBall":
-        return LpBall(_lp(cfg_body), n)
-    body = polar_polytope(cfg_body["dualVertices"])
-    if body.n != n:
-        raise ConfigError(f"PolarPolytope dimension {body.n} does not match schedule n={n}")
+def _polytope(verts, schedule: list):
+    """The PolarPolytope of a `dualVertices` list: numbers, one vertex or a list of them."""
+    rows = verts if isinstance(verts, list) and verts and isinstance(verts[0], list) else [verts]
+    _require(all(isinstance(r, list) and r and all(map(_is_num, r)) for r in rows),
+             "PolarPolytope needs a nonempty dualVertices list of numbers")
+    try:
+        body = polar_polytope(verts)
+    except ValueError as exc:  # non-finite entries, ragged rows
+        raise ConfigError(f"body.dualVertices: {exc}") from None
+    for n in schedule:
+        _require(body.n == n, f"PolarPolytope dimension {body.n} does not match schedule n={n}")
     return body
 
 
@@ -265,9 +275,9 @@ class _ScheduleContext:
     n: int
     d: int
     m: int
-    body: object
-    ell_k: float
-    d_star: float
+    body: object = None             # None, and NaN constants, for processSandbox
+    ell_k: float = math.nan
+    d_star: float = math.nan
     net: object = None
 
 
@@ -308,52 +318,48 @@ def _to_row(r: TrialRecord) -> list:
 
 
 def _schedule_context(config: ExperimentConfig, n_index: int) -> _ScheduleContext:
-    cfg = config.raw
-    kind = _KINDS[config.experiment_kind]
     n = config.schedule[n_index]
-    if kind.process:
-        proc = {**_PROCESS_DEFAULTS, **cfg.get("process", {})}
-        return _ScheduleContext(n=n, d=proc["setDim"], m=proc["setSize"],
-                                body=None, ell_k=float("nan"), d_star=float("nan"))
-    body = _build_body(cfg["body"], n)
+    if not config.bodies:  # processSandbox
+        return _ScheduleContext(n=n, d=config.process["setDim"], m=config.process["setSize"])
+    body = config.bodies[n_index]
     ell_k, _ = mean_width_auto(body, seed=child_seed(config.master_seed, 900_000 + n_index))
     d_star = (ell_k / dual_norm_sup(body)) ** 2
-    d_rule = cfg["dRule"]
+    d_rule = config.raw["dRule"]
     d = _D_RULES[d_rule["rule"]].derive(d_rule, n_index, n, d_star)
-    m_rule = cfg.get("mRule")
+    m_rule = config.raw.get("mRule")
     m = _M_RULES[m_rule["rule"]].derive(m_rule, n_index, n, d_star) if m_rule else 0
 
     net = None
-    dist = cfg.get("distortionMethod") or {}
-    if dist.get("method") == "netCertified":
+    dist = config.distortion
+    if dist and dist["method"] == "netCertified":
         net = build_sphere_net(d, dist["rho"], dist["candidateBudget"],
                                seed=child_seed(config.master_seed, 920_000 + n_index))
     return _ScheduleContext(n=n, d=d, m=m, body=body, ell_k=ell_k, d_star=d_star, net=net)
 
 
-# Trial functions: (config, schedule context, trial seed, ensemble laws) -> the
-# TrialRecord fields measured.  They look up measure_distortion, the samplers
-# and the estimators in this module's globals at call time, so patches apply.
+# Trial functions: (config, schedule context, trial seed) -> the TrialRecord
+# fields measured.  They look up measure_distortion, the samplers and the
+# estimators in this module's globals at call time, so patches apply.
 
-def _distortion_fields(cfg: dict, ctx: _ScheduleContext, gamma, seed: int) -> dict:
-    dist = cfg["distortionMethod"]
+def _distortion_fields(config, ctx: _ScheduleContext, gamma, seed: int) -> dict:
+    dist = config.distortion
     rep = measure_distortion(ctx.body, gamma, dist["method"], net=ctx.net,
-                             starts=dist.get("starts", 32), seed=child_seed(seed, 1))
+                             starts=dist["starts"], seed=child_seed(seed, 1))
     return dict(sup_est=rep.sup_est, inf_est=rep.inf_est, ratio=rep.ratio,
                 method_tags=f"sup={rep.sup_method};inf={rep.inf_method}")
 
 
-def _gaussian_trial(cfg, ctx, seed, laws) -> dict:
+def _gaussian_trial(config, ctx, seed) -> dict:
     gamma = sample_matrix(EnsembleSpec("GaussianIID", ctx.n, ctx.d), child_seed(seed, 0))
-    return _distortion_fields(cfg, ctx, gamma, seed)
+    return _distortion_fields(config, ctx, gamma, seed)
 
 
-def _cube_trial(cfg, ctx, seed, laws) -> dict:
-    M = sample_matrix(EnsembleSpec(laws["single"], ctx.n, ctx.d), child_seed(seed, 0))
+def _cube_trial(config, ctx, seed) -> dict:
+    M = sample_matrix(EnsembleSpec(config.laws["single"], ctx.n, ctx.d), child_seed(seed, 0))
     wit = adversarial_linf_witness(M)
-    if cfg.get("distortionMethod"):
+    if config.distortion:
         # Full estimator pair, for use as a control against product runs.
-        fields = _distortion_fields(cfg, ctx, M, seed)
+        fields = _distortion_fields(config, ctx, M, seed)
         return {**fields, "witness_ratio": wit.ratio,
                 "method_tags": fields["method_tags"] + ";witness=signAligned"}
     sup_est = float(np.linalg.norm(M, axis=1).max())
@@ -364,19 +370,16 @@ def _cube_trial(cfg, ctx, seed, laws) -> dict:
                 method_tags="sup=exactRowNorm;inf=axisProbeE1;witness=signAligned")
 
 
-def _product_trial(cfg, ctx, seed, laws) -> dict:
-    pspec = product_spec(laws["row"], laws["col"], n=ctx.n, d=ctx.d, m=ctx.m)
+def _product_trial(config, ctx, seed) -> dict:
+    pspec = product_spec(config.laws["row"], config.laws["col"], n=ctx.n, d=ctx.d, m=ctx.m)
     gamma, _ = sample_product(pspec, child_seed(seed, 0))
-    return _distortion_fields(cfg, ctx, gamma, seed)
+    return _distortion_fields(config, ctx, gamma, seed)
 
 
-def _event_trial(cfg, ctx, seed, laws) -> dict:
-    consts = {**_EVENT_DEFAULTS, **cfg.get("constants", {})}
-    spec = EnsembleSpec(laws["col"], rows=ctx.d, cols=ctx.m, vector_axis="cols")
+def _event_trial(config, ctx, seed) -> dict:
+    spec = EnsembleSpec(config.laws["col"], rows=ctx.d, cols=ctx.m, vector_axis="cols")
     gamma2 = sample_matrix(spec, child_seed(seed, 0))
-    theta, delta = _theta_delta(consts)
-    rep = check_event_A(gamma2, consts["kappa1"], delta, theta,
-                        restarts=consts["restarts"], seed=child_seed(seed, 1))
+    rep = check_event_A(gamma2, *config.event, seed=child_seed(seed, 1))
     k_main = max(1, rep.k_event)
     sparse = rep.sparse_methods[k_main] if rep.k_event else "vacuous"  # floor(theta m) = 0
     return dict(sup_est=rep.sparse_sup[k_main], event_a_holds=rep.event_a_holds,
@@ -384,13 +387,12 @@ def _event_trial(cfg, ctx, seed, laws) -> dict:
                             f"kappa1Measured={rep.kappa1_measured:.6g}")
 
 
-def _sandbox_trial(cfg, ctx, seed, laws) -> dict:
-    proc = {**_PROCESS_DEFAULTS, **cfg.get("process", {})}
+def _sandbox_trial(config, ctx, seed) -> dict:
     rng = np.random.default_rng(child_seed(seed, 0))
     T = index_set(rng.standard_normal((ctx.m, ctx.d)))
-    sup = emp_sup("gaussian", T, trials=proc["supTrials"], seed=child_seed(seed, 1))
+    sup = emp_sup("gaussian", T, trials=config.process["supTrials"], seed=child_seed(seed, 1))
     sud = sudakov_lower(T)
-    tail = concentration_check(T, trials=proc["innerTrials"], seed=child_seed(seed, 2))
+    tail = concentration_check(T, trials=config.process["innerTrials"], seed=child_seed(seed, 2))
     return dict(sup_est=sup.value, inf_est=sud,
                 ratio=sup.value / sud if sud > 0 else math.inf,
                 method_tags="sup=empSupGaussianMC;inf=sudakovLower", tail=tail)
@@ -437,14 +439,12 @@ _KINDS = {
 
 def _safe_trial(config: ExperimentConfig, ctx: _ScheduleContext,
                 trial_index: int, seed: int) -> TrialRecord:
-    kind = _KINDS[config.experiment_kind]
     base = dict(experiment_id=config.experiment_id, n=ctx.n, d=ctx.d, m=ctx.m,
                 seed=seed, trial_index=trial_index)
     t0 = time.perf_counter()
     try:
-        laws = {**kind.laws, **config.raw.get("ensembles", {})}
         rec = TrialRecord(**base, ell_k=ctx.ell_k, d_star=ctx.d_star,
-                          **kind.trial(config.raw, ctx, seed, laws))
+                          **_KINDS[config.experiment_kind].trial(config, ctx, seed))
     except Exception as exc:  # per-trial failures become rows, never aborts
         rec = TrialRecord(**base, error=f"{type(exc).__name__}: {exc}")
     if config.record_timing:
@@ -477,16 +477,16 @@ def _one_blas_thread() -> None:
             return
 
 
-def _sweep(config: ExperimentConfig, ordered_map: Callable) -> tuple:
-    """(contexts, records): the schedule contexts, then the trials, through `ordered_map`."""
-    contexts = list(ordered_map(_schedule_context, repeat(config), range(len(config.schedule))))
+def _sweep(config: ExperimentConfig, ordered_map: Callable) -> list:
+    """The trial records: the schedule contexts, then the trials, through `ordered_map`."""
+    contexts = ordered_map(_schedule_context, repeat(config), range(len(config.schedule)))
     per_trial = (ctx for ctx in contexts for _ in range(config.trials))
     tasks = [(ctx, t, child_seed(config.master_seed, t)) for t, ctx in enumerate(per_trial)]
-    return contexts, list(ordered_map(_safe_trial, repeat(config), *zip(*tasks)))
+    return list(ordered_map(_safe_trial, repeat(config), *zip(*tasks)))
 
 
-def _quartiles(vals) -> tuple:
-    arr = np.array([v for v in vals if v is not None], dtype=float)
+def _quartiles(cells: list) -> tuple:
+    arr = np.array([float(c) for c in cells])
     arr = arr[np.isfinite(arr)]
     if arr.size == 0:
         return None, None, None
@@ -529,37 +529,21 @@ def run_experiment(config: ExperimentConfig | dict, out_dir=".", threads: int = 
 
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                  initializer=_one_blas_thread) as pool:
-            contexts, records = _sweep(config, pool.map)
+            records = _sweep(config, pool.map)
     else:
-        contexts, records = _sweep(config, map)
+        records = _sweep(config, map)
 
     outputs = config.raw.get("outputs", {})
     csv_path = out_dir / outputs.get("csv", "trials.csv")
     summary_path = out_dir / outputs.get("summary", "summary.json")
 
+    rows = [_to_row(rec) for rec in records]
     with csv_path.open("w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)  # RFC-4180: CRLF rows, quotes only where needed
         writer.writerow(CSV_COLUMNS)
-        for rec in records:
-            writer.writerow(_to_row(rec))
+        writer.writerows(rows)
 
-    series = []
-    for i, ctx in enumerate(contexts):
-        chunk = [r for r in records[i * config.trials:(i + 1) * config.trials] if not r.error]
-        med, q25, q75 = _quartiles([r.ratio for r in chunk])
-        entry = {"n": ctx.n, "d": ctx.d, "m": ctx.m, "medianRatio": med,
-                 "q25": q25, "q75": q75, "eventAFrequency": None,
-                 "trials": config.trials}
-        flags = [r.event_a_holds for r in chunk if r.event_a_holds is not None]
-        if flags:
-            entry["eventAFrequency"] = sum(flags) / len(flags)
-        wits = [r.witness_ratio for r in chunk if r.witness_ratio is not None]
-        if wits:
-            wmed, wq25, wq75 = _quartiles(wits)
-            entry.update(medianWitnessRatio=wmed, witnessQ25=wq25, witnessQ75=wq75)
-        series.append(entry)
-
-    summary = {"configEcho": config.raw, "series": series,
+    summary = {"configEcho": config.raw, "series": _series(rows, config.trials),
                "calibration": calibration_block()}
     tables = [r.tail for r in records if r.tail is not None]
     if tables:
@@ -569,9 +553,28 @@ def run_experiment(config: ExperimentConfig | dict, out_dir=".", threads: int = 
         json.dump(summary, f, indent=2)
         f.write("\n")
 
-    failures = sum(1 for r in records if r.error)
-    return RunResult(csv_path=csv_path, summary_path=summary_path,
-                     summary=summary, records=records, failures=failures)
+    return RunResult(csv_path=csv_path, summary_path=summary_path, summary=summary,
+                     records=records, failures=sum(1 for r in records if r.error))
+
+
+def _series(rows: list, trials: int) -> list:
+    """The summary's per-entry series from the CSV rows as formatted, `trials` rows per entry."""
+    series = []
+    for start in range(0, len(rows), trials):
+        block = [dict(zip(CSV_COLUMNS, row)) for row in rows[start:start + trials]]
+        ok = [r for r in block if not r["error"]]
+        ratios, flags, wits = ([r[k] for r in ok if r[k]]
+                               for k in ("ratio", "eventAHolds", "witnessRatio"))
+        med, q25, q75 = _quartiles(ratios)
+        entry = {"n": int(block[0]["n"]), "d": int(block[0]["d"]), "m": int(block[0]["m"]),
+                 "medianRatio": med, "q25": q25, "q75": q75,
+                 "eventAFrequency": flags.count("true") / len(flags) if flags else None,
+                 "trials": trials}
+        if wits:
+            wmed, wq25, wq75 = _quartiles(wits)
+            entry.update(medianWitnessRatio=wmed, witnessQ25=wq25, witnessQ75=wq75)
+        series.append(entry)
+    return series
 
 
 def _sandbox_tail(tables: list) -> list:
@@ -584,20 +587,14 @@ def _sandbox_tail(tables: list) -> list:
 
 
 def verify_summary(csv_path, summary: dict) -> bool:
-    """Recompute each schedule entry's median ratio from the CSV and compare with the summary.
+    """Rebuild the summary's series from the CSV and check that every field matches.
 
-    The CSV holds the rows of each schedule entry together, `trials` at a time.
+    `run_experiment` builds the series from the same CSV text with the same
+    function, and JSON keeps floats exactly, so the check is exact equality.
     """
     with Path(csv_path).open("r", newline="", encoding="utf-8") as f:
-        rows = list(csv.DictReader(f))
-    for i, entry in enumerate(summary["series"]):
-        chunk = rows[i * entry["trials"]:(i + 1) * entry["trials"]]
-        med, _, _ = _quartiles([float(r["ratio"]) for r in chunk if r["ratio"]])
-        ref = entry["medianRatio"]
-        if (med is None) != (ref is None) or (
-                med is not None and not math.isclose(med, ref, rel_tol=1e-12, abs_tol=1e-12)):
-            return False
-    return True
+        rows = list(csv.reader(f))[1:]
+    return _series(rows, summary["configEcho"]["trials"]) == summary["series"]
 
 
 _PLOT_KINDS = ("ratioVsN", "ratioVsD", "tailCurve")

@@ -33,6 +33,17 @@ def test_norm_errors():
         LpBall(0.5, 3)
 
 
+def test_polar_polytope_rejects_bad_vertex_arrays():
+    # A 3-D array would give n = 1 and a norm of the wrong shape.
+    with pytest.raises(ValueError, match="k x n array, got 3 dimensions"):
+        polar_polytope([[[1.0, 0.0, 0.0, 0.0]]])
+    with pytest.raises(ValueError, match="nonempty"):
+        polar_polytope([[]])
+    with pytest.raises(ValueError, match="finite"):
+        polar_polytope([[1.0, np.nan]])
+    assert polar_polytope([1.0, 0.0]).n == 2  # one vertex, given flat
+
+
 @pytest.mark.parametrize("body", [
     LpBall(1, 6), LpBall(2, 6), LpBall(3.5, 6), LpBall(math.inf, 6),
     polar_polytope(np.random.default_rng(0).standard_normal((7, 6))),

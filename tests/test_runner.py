@@ -201,6 +201,20 @@ def test_cli_rejects_bad_event_constants_with_exit_2(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_theta_is_solved_once_per_run(tmp_path, monkeypatch):
+    calls = []
+    orig = runner_mod.solve_parameters
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(runner_mod, "solve_parameters", counted)
+    res = run_experiment(_EVENT_SOLVED, out_dir=tmp_path, threads=1)
+    assert res.failures == 0 and len(res.records) == _EVENT_SOLVED["trials"] > 1
+    assert len(calls) == 1
+
+
 def test_event_tags_name_a_vacuous_sparse_condition(tmp_path):
     # m = 64: theta = 3.5/64 gives floor(theta m) = 3; theta = 0.01 gives 0.
     busy = run_experiment(_EVENT_GIVEN, out_dir=tmp_path / "busy")
@@ -270,6 +284,21 @@ def test_byte_identical_across_threads_and_reruns(tmp_path, kind):
         assert first == (tmp_path / "b" / name).read_bytes()
         assert first == (tmp_path / "c" / name).read_bytes()
     assert r1.failures == r2.failures == r3.failures == 0
+    assert verify_summary(r2.csv_path, json.loads(r2.summary_path.read_text()))
+
+
+@pytest.mark.parametrize("kind, field", [
+    ("gaussianDM", "q25"), ("gaussianDM", "q75"), ("eventAFrequency", "eventAFrequency"),
+    ("cubeCounterexample", "medianWitnessRatio"), ("gaussianDM", "n"), ("gaussianDM", "d"),
+])
+def test_verify_summary_checks_every_series_field(tmp_path, kind, field):
+    res = run_experiment(KIND_CFGS[kind], out_dir=tmp_path)
+    assert verify_summary(res.csv_path, res.summary)
+    tampered = json.loads(res.summary_path.read_text())
+    entry = tampered["series"][0]
+    value = entry[field]  # one more, or one ulp more: the check is exact
+    entry[field] = value + 1 if isinstance(value, int) else math.nextafter(value, math.inf)
+    assert not verify_summary(res.csv_path, tampered)
 
 
 def test_csv_format(tmp_path):
@@ -343,16 +372,55 @@ def test_trial_failures_become_rows_in_worker_processes(tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_context_errors_are_the_same_in_worker_processes(tmp_path):
-    cfg = {**BASE_CFG, "schedule": [2, 64],
-           "body": {"kind": "PolarPolytope", "dualVertices": [[1.0, 0.0], [0.5, 1.0]]},
-           "dRule": {"rule": "fixed", "d": 1},
-           "distortionMethod": {"method": "multiStartOpt", "starts": 2}}
+def test_context_errors_are_the_same_in_worker_processes(tmp_path, monkeypatch):
+    orig = runner_mod.mean_width_auto
+
+    def failing(body, **kwargs):
+        if body.n == 64:
+            raise RuntimeError(f"synthetic context failure at n={body.n}")
+        return orig(body, **kwargs)
+
+    monkeypatch.setattr(runner_mod, "mean_width_auto", failing)
+    cfg = {**BASE_CFG, "schedule": [32, 64]}
     for threads in (1, 2):
-        with pytest.raises(ConfigError,
-                           match=r"^PolarPolytope dimension 2 does not match schedule n=64$"):
+        with pytest.raises(RuntimeError, match=r"^synthetic context failure at n=64$"):
             run_experiment(cfg, out_dir=tmp_path / str(threads), threads=threads)
     assert multiprocessing.active_children() == []
+
+
+_POLYTOPE_CFG = {**BASE_CFG, "schedule": [2, 2], "dRule": {"rule": "fixed", "d": 1},
+                 "distortionMethod": {"method": "multiStartOpt", "starts": 2}}
+
+
+@pytest.mark.parametrize("vertices, schedule, match", [
+    ([[1.0, math.nan]], [2], "dual vertices must be finite"),
+    ([[1.0, 0.0], [0.5]], [2], "inhomogeneous shape"),
+    ([[1.0, "0.5"]], [2], "dualVertices list of numbers"),
+    ([[1.0, 0.0], [0.5, 1.0]], [2, 64], "^PolarPolytope dimension 2 does not match schedule n=64$"),
+], ids=["nan", "ragged", "string", "dimension"])
+def test_polar_polytope_is_checked_at_parse_time(vertices, schedule, match):
+    with pytest.raises(ConfigError, match=match):
+        parse_config({**_POLYTOPE_CFG, "schedule": schedule,
+                      "body": {"kind": "PolarPolytope", "dualVertices": vertices}})
+
+
+def test_cli_rejects_a_bad_polytope_with_exit_2(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**_POLYTOPE_CFG, "body": {
+        "kind": "PolarPolytope", "dualVertices": [[1.0, 0.0], [0.5]]}}))
+    assert cli_main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_parse_config_resolves_what_the_sweep_reads():
+    config = parse_config({**_POLYTOPE_CFG, "body": {
+        "kind": "PolarPolytope", "dualVertices": [[1.0, 0.0], [0.5, 1.0]]}})
+    assert config.bodies[0] is config.bodies[1] and config.bodies[0].n == 2
+    assert config.distortion == {"method": "multiStartOpt", "starts": 2}
+    product = parse_config(KIND_CFGS["productUniform"])
+    assert [b.n for b in product.bodies] == [32, 64]
+    assert product.laws == {"row": "UniformPM1", "col": "UniformPM1"}
+    assert product.experiment_id.startswith("productUniform-")
 
 
 def test_threads_above_the_cpu_count_give_the_same_bytes(tmp_path):
