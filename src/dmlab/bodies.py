@@ -2,14 +2,17 @@
 
 A body K here is always centrally symmetric, so it is the unit ball of a norm
 ||.||_K, evaluated through the polar body: ||x||_K = sup over t in the polar
-of <x, t>.  Three families are supported:
+of <x, t>, and a maximizing t is a subgradient at x.  Every rule that depends
+on the family lives in this module; three families are supported:
 
   * LpBall(p, n)        -- unit ball of l_p; polar data is the Hoelder
                            conjugate ball, kept implicit (never materialized).
+                           The subgradient is sign(x) (|x| / ||x||_p)^(p-1),
+                           or sign(x_i) e_i at the first largest |x_i| if p = inf.
   * PolarPolytope(V)    -- body whose polar is conv(V u -V); the norm is the
                            max inner product against the stored vertices.
-  * DiagonalImage(K, s) -- diag(s) K for positive scales s; the norm rescales
-                           coordinates and defers to the base body.
+  * DiagonalImage(K, s) -- diag(s) K for positive scales s; the norm and the
+                           subgradient rescale coordinates and defer to the base.
 
 The two derived constants are the gaussian mean width ell(K) = E ||G||_K and
 the critical dimension dStar = (ell(K) / sup_{t in polar} ||t||_2)^2.
@@ -114,6 +117,32 @@ def _norm_many_unchecked(body: ConvexBody, X: np.ndarray) -> np.ndarray:
         return (X @ body.dual_vertices.T).max(axis=-1)
     if isinstance(body, DiagonalImage):
         return _norm_many_unchecked(body.base, X / body.scales)
+    raise TypeError(f"unsupported body {type(body).__name__}")
+
+
+def _pullback_subgradients(body: ConvexBody, P: np.ndarray, gamma: np.ndarray,
+                           norms: np.ndarray) -> np.ndarray:
+    """Rows of d/dx ||Gamma x||_K at rows x of X, from P = X @ Gamma^T and its norms."""
+    if isinstance(body, LpBall):
+        if math.isinf(body.p):
+            idx = np.argmax(np.abs(P), axis=1)
+            sgn = np.sign(P[np.arange(P.shape[0]), idx])
+            sgn[sgn == 0.0] = 1.0
+            return sgn[:, None] * gamma[idx, :]
+        if body.p == 1.0:
+            return np.sign(P) @ gamma
+        safe = np.where(norms > 0.0, norms, 1.0)
+        if body.p == 2.0:
+            g_y = P / safe[:, None]
+        else:
+            g_y = np.sign(P) * (np.abs(P) / safe[:, None]) ** (body.p - 1.0)
+        return g_y @ gamma
+    if isinstance(body, PolarPolytope):
+        idx = np.argmax(P @ body.dual_vertices.T, axis=1)
+        return body.dual_vertices[idx] @ gamma
+    if isinstance(body, DiagonalImage):
+        return _pullback_subgradients(body.base, P / body.scales, gamma / body.scales[:, None],
+                                      norms)
     raise TypeError(f"unsupported body {type(body).__name__}")
 
 

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from dmlab.ensembles import EnsembleSpec, marginal_diagnostics
-from dmlab.runner import ConfigError, emit_plot_data, parse_config, run_experiment
+from dmlab.runner import _PLOT_KINDS, ConfigError, emit_plot_data, parse_config, run_experiment
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -94,8 +94,7 @@ def main(argv=None) -> int:
 
     p_plot = sub.add_parser("plot", help="emit plot-ready tables from a summary")
     p_plot.add_argument("summary")
-    p_plot.add_argument("--kind", required=True,
-                        choices=("ratioVsN", "ratioVsD", "tailCurve"))
+    p_plot.add_argument("--kind", required=True, choices=_PLOT_KINDS)
     p_plot.add_argument("--out", default=None)
     p_plot.set_defaults(func=_cmd_plot)
 

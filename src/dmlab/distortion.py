@@ -14,8 +14,9 @@ that `EXACT_METHOD_P` names, the one table the config parser checks too:
                  the true [inf, sup].  True bounds, practical only for small d;
                  refused when the net's probed covering radius exceeds rho.
   multiStartOpt  projected subgradient ascent/descent from random plus axis
-                 starts with per-start step halving; a start retires once
-                 its step is below 1e-12.  Heuristic on both sides.
+                 starts, each holding its point, value and subgradient; a
+                 start halves its step on every rejected move and retires
+                 once the step is below 1e-12.  Heuristic on both sides.
 
 The cube witness reproduces the failure mode of a single sign-symmetric
 matrix on the sup side: aligning signs with the heaviest row inflates
@@ -29,10 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dmlab.bodies import (ConvexBody, DiagonalImage, LpBall, PolarPolytope,
-                          _norm_many_unchecked, norm_many)
+from dmlab.bodies import (ConvexBody, LpBall, _norm_many_unchecked, _pullback_subgradients,
+                          norm_many)
 from dmlab.events import singular_extremes
-from dmlab.nets import SphereNet
+from dmlab.nets import SphereNet, _sphere_points
 from dmlab.seeding import child_seed
 
 _PHI_FLOOR = 1e-300
@@ -54,58 +55,26 @@ class DistortionReport:
     lipschitz_slack: float | None = None
 
 
-def _pullback_subgradients(body: ConvexBody, P: np.ndarray, gamma: np.ndarray,
-                           norms: np.ndarray) -> np.ndarray:
-    """Rows of d/dx ||Gamma x||_K at points x with P = X @ Gamma^T.
-
-    `norms` holds norm_many(body, P), which the caller already has.
-    """
-    if isinstance(body, LpBall):
-        if math.isinf(body.p):
-            idx = np.argmax(np.abs(P), axis=1)
-            sgn = np.sign(P[np.arange(P.shape[0]), idx])
-            sgn[sgn == 0.0] = 1.0
-            return sgn[:, None] * gamma[idx, :]
-        if body.p == 1.0:
-            return np.sign(P) @ gamma
-        safe = np.where(norms > 0.0, norms, 1.0)
-        if body.p == 2.0:
-            g_y = P / safe[:, None]
-        else:
-            g_y = np.sign(P) * (np.abs(P) / safe[:, None]) ** (body.p - 1.0)
-        return g_y @ gamma
-    if isinstance(body, PolarPolytope):
-        idx = np.argmax(P @ body.dual_vertices.T, axis=1)
-        return body.dual_vertices[idx] @ gamma
-    if isinstance(body, DiagonalImage):
-        return _pullback_subgradients(body.base, P / body.scales, gamma / body.scales[:, None],
-                                      norms)
-    raise TypeError(f"unsupported body {type(body).__name__}")
-
-
 def _multistart(body: ConvexBody, gamma: np.ndarray, starts: int, seed: int,
                 mode: int, iters: int = _OPT_ITERS) -> float:
     """Best value found by projected subgradient ascent (+1) or descent (-1).
 
-    P = X @ Gamma^T is kept for every start and updated from the candidate
-    projections of accepted steps; a start retires once its step falls below
-    1e-12, and only active starts are stepped and evaluated.  The first
-    evaluation checks its input; the loop's candidates are unit vectors mapped
-    by the same Gamma, so their evaluations skip the check.
+    Each start keeps its point x, value ||Gamma x||_K and pulled-back
+    subgradient G, all in R^d; only accepted candidates get a new G, from the
+    projections the loop already holds.  A start retires once its step is
+    below 1e-12.  Only the first evaluation checks its input: the loop's
+    candidates are unit vectors mapped by the same Gamma.
     """
     d = gamma.shape[1]
-    rng = np.random.default_rng(seed)
     axes = np.concatenate([np.eye(d), -np.eye(d)], axis=0)
-    rand = rng.standard_normal((starts, d))
-    rand /= np.linalg.norm(rand, axis=1, keepdims=True)
-    X = np.concatenate([axes, rand], axis=0)
+    X = np.concatenate([axes, _sphere_points(np.random.default_rng(seed), starts, d)], axis=0)
     P = X @ gamma.T
     vals = norm_many(body, P)
+    G = _pullback_subgradients(body, P, gamma, vals)
     step = np.full(X.shape[0], 0.5)
     active = np.arange(X.shape[0])
     for _ in range(iters):
-        G = _pullback_subgradients(body, P[active], gamma, vals[active])
-        cand = X[active] + mode * step[active, None] * G
+        cand = X[active] + mode * step[active, None] * G[active]
         cn = np.linalg.norm(cand, axis=1, keepdims=True)
         cn[cn == 0.0] = 1.0
         cand /= cn
@@ -114,8 +83,8 @@ def _multistart(body: ConvexBody, gamma: np.ndarray, starts: int, seed: int,
         better = cvals > vals[active] if mode > 0 else cvals < vals[active]
         moved = active[better]
         X[moved] = cand[better]
-        P[moved] = cand_p[better]
         vals[moved] = cvals[better]
+        G[moved] = _pullback_subgradients(body, cand_p[better], gamma, cvals[better])
         step[active[~better]] *= 0.5
         active = active[step[active] >= 1e-12]
         if active.size == 0:

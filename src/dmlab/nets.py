@@ -119,18 +119,15 @@ def farthest_first(dist_from, start: int, limit: int) -> tuple[list, np.ndarray]
     return order, np.array(radii)
 
 
-def pajor_subset(points, epsilon: float, max_size: int) -> np.ndarray:
+def pajor_subset(points, max_size: int) -> np.ndarray:
     """Farthest-first subset that preserves most of the gaussian supremum.
 
-    The traversal first exhausts the maximal epsilon-separated core (every
-    new point is the farthest from the current selection, accepted while its
-    distance is >= epsilon), then keeps extending in the same farthest-first
-    order until `max_size` points or all distinct points are selected.  Exact
-    duplicates are never selected.  Returned in selection order; prefixes are
-    nested across max_size values.
+    Every new point is the farthest from the current selection, until
+    `max_size` points or all distinct points are selected, so for any
+    epsilon the prefix whose insertion distances are >= epsilon is a maximal
+    epsilon-separated core.  Exact duplicates are never selected.  Returned in
+    selection order; prefixes are nested across max_size values.
     """
-    if epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
     P = np.atleast_2d(np.asarray(points, dtype=float))

@@ -169,15 +169,11 @@ def parse_config(cfg: dict) -> ExperimentConfig:
     if kind.process:
         _require(body is None, f"{name} takes no body")
     else:
-        _expect_keys(body, {"kind", "p", "dualVertices"}, "body")
-        if body.get("kind") == "LpBall":
-            p = body.get("p")
-            _require(p == "inf" or (_is_num(p) and p >= 1), "body.p must be >= 1 or 'inf'")
-            bodies = tuple(LpBall(math.inf if p == "inf" else float(p), n) for n in schedule)
-        elif body.get("kind") == "PolarPolytope":
-            bodies = (_polytope(body.get("dualVertices"), schedule),) * len(schedule)
-        else:
-            raise ConfigError("body.kind must be 'LpBall' or 'PolarPolytope'")
+        _require(isinstance(body, dict) and body.get("kind") in _BODY_KINDS,
+                 f"body must be a JSON object with kind one of {tuple(_BODY_KINDS)}")
+        field, build = _BODY_KINDS[body["kind"]]
+        _expect_keys(body, {"kind", field}, f"body {body['kind']}")
+        bodies = build(body.get(field), schedule)
 
     if not (kind.process and "dRule" not in cfg):  # a sandbox reads d from `process`
         _check_rule(cfg, "dRule", _D_RULES, len(schedule))
@@ -256,8 +252,13 @@ def parse_config(cfg: dict) -> ExperimentConfig:
     )
 
 
-def _polytope(verts, schedule: list):
-    """The PolarPolytope of a `dualVertices` list: numbers, one vertex or a list of them."""
+def _lp_balls(p, schedule: list) -> tuple:
+    _require(p == "inf" or (_is_num(p) and p >= 1), "body.p must be >= 1 or 'inf'")
+    return tuple(LpBall(math.inf if p == "inf" else float(p), n) for n in schedule)
+
+
+def _polytopes(verts, schedule: list) -> tuple:
+    """One PolarPolytope for every entry, from numbers, one vertex or a list of them."""
     rows = verts if isinstance(verts, list) and verts and isinstance(verts[0], list) else [verts]
     _require(all(isinstance(r, list) and r and all(map(_is_num, r)) for r in rows),
              "PolarPolytope needs a nonempty dualVertices list of numbers")
@@ -267,7 +268,11 @@ def _polytope(verts, schedule: list):
         raise ConfigError(f"body.dualVertices: {exc}") from None
     for n in schedule:
         _require(body.n == n, f"PolarPolytope dimension {body.n} does not match schedule n={n}")
-    return body
+    return (body,) * len(schedule)
+
+
+# body.kind -> (the one field it reads, the builder of one body per schedule entry)
+_BODY_KINDS = {"LpBall": ("p", _lp_balls), "PolarPolytope": ("dualVertices", _polytopes)}
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,14 +4,10 @@ import numpy as np
 import pytest
 
 from dmlab import bodies
-from dmlab.bodies import LpBall, diagonal_image, mean_width, norm_many, polar_polytope
+from dmlab.bodies import (LpBall, _pullback_subgradients, diagonal_image, mean_width,
+                          norm_many, polar_polytope)
 from dmlab.calibration import GAUSSIAN_BAND
-from dmlab.distortion import (
-    _multistart,
-    _pullback_subgradients,
-    adversarial_linf_witness,
-    measure_distortion,
-)
+from dmlab.distortion import _multistart, adversarial_linf_witness, measure_distortion
 from dmlab.events import singular_extremes
 from dmlab.nets import build_sphere_net
 
@@ -140,6 +136,34 @@ def test_multistart_evaluates_norms_once_per_iteration(monkeypatch):
     _multistart(LpBall(3.0, 1024), G, 64, 0, -1, iters=30)
     assert len(calls) == 1 + 30
     assert checked == [2 * 12 + 64]  # only the first evaluation checks its input
+
+
+def test_multistart_pulls_back_only_starts_and_accepted_candidates(monkeypatch):
+    # At 30 iterations no start retires (see above), so every evaluation after
+    # the first covers all starts in order and the accepted candidates can be
+    # counted from the values alone.
+    pulled, evaluated = [], []
+    pull_back, evaluate = _pullback_subgradients, bodies._norm_many_unchecked
+
+    def counting_pullback(body, P, gamma, norms):
+        pulled.append(P.shape[0])
+        return pull_back(body, P, gamma, norms)
+
+    def recording_evaluator(body, X):
+        evaluated.append(evaluate(body, X))
+        return evaluated[-1].copy()  # the loop updates its values in place
+
+    monkeypatch.setattr("dmlab.distortion._pullback_subgradients", counting_pullback)
+    monkeypatch.setattr("dmlab.distortion._norm_many_unchecked", recording_evaluator)
+    monkeypatch.setattr("dmlab.bodies._norm_many_unchecked", recording_evaluator)
+    G = np.random.default_rng(0).standard_normal((1024, 12))
+    _multistart(LpBall(3.0, 1024), G, 64, 0, -1, iters=30)
+    vals, accepted = evaluated[0], 0
+    for cvals in evaluated[1:]:
+        accepted += int((cvals < vals).sum())
+        vals = np.minimum(vals, cvals)
+    assert len(evaluated) == 1 + 30 and 0 < accepted < 30 * (2 * 12 + 64)
+    assert sum(pulled) == 2 * 12 + 64 + accepted
 
 
 def test_net_certified_brackets_truth():

@@ -115,15 +115,13 @@ def test_build_validation():
 
 def test_pajor_removes_duplicates():
     pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
-    sub = pajor_subset(pts, 0.5, 10)
+    sub = pajor_subset(pts, 10)
     assert sub.shape == (3, 2)
     assert len({tuple(r) for r in sub}) == 3
-    sub0 = pajor_subset(pts, 0.0, 10)
-    assert sub0.shape == (3, 2)
 
 
 def test_pajor_singleton():
-    sub = pajor_subset(np.zeros((1, 4)), 1.0, 5)
+    sub = pajor_subset(np.zeros((1, 4)), 5)
     assert sub.shape == (1, 4)
     assert np.all(sub == 0.0)
 
@@ -131,8 +129,8 @@ def test_pajor_singleton():
 def test_pajor_monotone_in_max_size():
     rng = np.random.default_rng(4)
     pts = rng.standard_normal((200, 5))
-    small = pajor_subset(pts, 0.1, 20)
-    big = pajor_subset(pts, 0.1, 60)
+    small = pajor_subset(pts, 20)
+    big = pajor_subset(pts, 60)
     assert np.array_equal(big[:20], small)
 
 
@@ -140,7 +138,7 @@ def test_pajor_separated_core():
     rng = np.random.default_rng(5)
     pts = rng.standard_normal((300, 6))
     eps = 4.0
-    sub = pajor_subset(pts, eps, 300)
+    sub = pajor_subset(pts, 300)
     # the prefix with insertion radius >= eps is eps-separated and maximal:
     # insertion radii are nonincreasing, so find the core length directly
     radii = [np.inf]
@@ -157,6 +155,4 @@ def test_pajor_separated_core():
 
 def test_pajor_validation():
     with pytest.raises(ValueError):
-        pajor_subset(np.zeros((2, 2)), -1.0, 5)
-    with pytest.raises(ValueError):
-        pajor_subset(np.zeros((2, 2)), 0.5, 0)
+        pajor_subset(np.zeros((2, 2)), 0)

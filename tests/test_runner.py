@@ -412,6 +412,21 @@ def test_cli_rejects_a_bad_polytope_with_exit_2(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("body, extra", [
+    ({"kind": "LpBall", "p": 2}, {"dualVertices": "ignored"}),
+    ({"kind": "PolarPolytope", "dualVertices": [[1, 0]]}, {"p": "anything"}),
+], ids=["LpBall", "PolarPolytope"])
+def test_body_accepts_only_the_field_its_kind_reads(body, extra, tmp_path):
+    parse_config({**_POLYTOPE_CFG, "body": body})
+    cfg = {**_POLYTOPE_CFG, "body": {**body, **extra}}
+    with pytest.raises(ConfigError, match=rf"^unknown fields in body {body['kind']}: "):
+        parse_config(cfg)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli_main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_parse_config_resolves_what_the_sweep_reads():
     config = parse_config({**_POLYTOPE_CFG, "body": {
         "kind": "PolarPolytope", "dualVertices": [[1.0, 0.0], [0.5, 1.0]]}})
