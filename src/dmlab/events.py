@@ -55,11 +55,12 @@ def _submatrix_smax(sub: np.ndarray) -> float:
     return math.sqrt(max(float(np.linalg.eigvalsh(g)[-1]), 0.0))
 
 
-def _swap_values(X: np.ndarray, support: list, i: int, cand: np.ndarray,
-                 floor: float) -> tuple:
+def _swap_values(X: np.ndarray, support: list, i: int, B: np.ndarray,
+                 diag: np.ndarray, floor: float) -> tuple:
     """Spectral norms of the submatrices (support - {i}) + {j} that may reach floor.
 
-    Returns (keep, values): the positions in cand whose closed-form bound on
+    B (d x c) holds the candidate columns j and diag their squared norms.
+    Returns (keep, values): the positions in B whose closed-form bound on
     the squared norm reaches floor**2, and the norms of those submatrices.
     The gram of the shared k-1 columns is assembled once; each candidate
     borders it with one row/column (k <= d) or adds a rank-one term to the
@@ -68,9 +69,7 @@ def _swap_values(X: np.ndarray, support: list, i: int, cand: np.ndarray,
     d = X.shape[0]
     rest = [s for s in support if s != i]
     k = len(rest) + 1
-    B = X[:, cand]                              # d x c
     sub = X[:, rest]                            # d x (k-1)
-    diag = (B * B).sum(axis=0)
     if k <= d:
         g0 = sub.T @ sub
         cross = sub.T @ B                       # (k-1) x c
@@ -194,8 +193,10 @@ def sparse_supremum(
             cand = np.flatnonzero(~in_support)
             swap, swap_val = None, val
             if cand.size:
+                B = X[:, cand]
+                diag = (B * B).sum(axis=0)
                 for i in support:
-                    keep, vals = _swap_values(X, support, i, cand, swap_val + 1e-12)
+                    keep, vals = _swap_values(X, support, i, B, diag, swap_val + 1e-12)
                     if vals.size:
                         jbest = int(np.argmax(vals))
                         if vals[jbest] > swap_val + 1e-12:

@@ -14,12 +14,12 @@ value in (0, 0.2499] satisfying its constraint: below the cap, the root of
 f(theta) = theta^a sqrt(log(e/theta)) = b on the increasing branch of f.  With
 u = log(e/theta) this reads u exp(-2au) = b^2 exp(-2a), so in closed form
 theta = exp(1 + W(z)/(2a)) with z = -2a b^2 exp(-2a) and W the lower real
-branch W_{-1} of the Lambert W function.  Where 2(ez + 1) < 1e-6, next to the
-branch point -1/e where scipy's lambertw loses up to 1e-4 of accuracy, W is
-its series in p = -sqrt(2(ez + 1)) (Corless et al. 1996).  Where z is below the
-smallest normal float (large a under the literal reading), W is found in log
-space by Newton's method on w + log(-w) = log(-z), so a root that is itself an
-ordinary float is not lost to the underflow of z.
+branch W_{-1} of the Lambert W function.  W is computed from log(-z), which is
+formed analytically, so z itself is never evaluated and a root that is an
+ordinary float is not lost when z underflows (large a under the literal
+reading).  Where 2(ez + 1) <= 1e-6, next to the branch point -1/e, W is its
+series in p = -sqrt(2(ez + 1)) (Corless et al. 1996); everywhere else it is
+found by Newton's method on w + log(-w) = log(-z).
 
 The grouped exponent reading a = (q-2)/(2(q+2)) is the default; it matches
 the identity 1/2 - 1/r with r = 1 + q/2 used by the sparse-coordinate
@@ -32,8 +32,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-
-from scipy.special import lambertw
 
 _THETA_CAP = 0.2499  # keeps the open-interval constraint theta < 1/4 strict in float
 
@@ -72,12 +70,15 @@ def _f(theta: float, a: float) -> float:
     return theta**a * math.sqrt(math.log(math.e / theta))
 
 
-def _lambert_wm1_log(log_mz: float) -> float:
-    """W_{-1}(z) from log(-z), for z far below the branch point -1/e.
+def _lambert_wm1(log_mz: float) -> float:
+    """W_{-1}(z) for z in [-1/e, 0), from L = log(-z) <= -1.
 
-    Newton's method on w + log(-w) = L with L = log(-z), which is w e^w = z
-    in log form, from the asymptote w = L - log(-L).
+    The series in p = -sqrt(2(ez + 1)) where p >= -1e-3 (truncation error below
+    1e-13), else Newton's method on w + log(-w) = L from w = L - log(-L).
     """
+    p = -math.sqrt(max(-2.0 * math.expm1(1.0 + log_mz), 0.0))  # 0 at or past -1/e
+    if p >= -1e-3:
+        return -1.0 + p - p * p / 3.0 + 11.0 / 72.0 * p**3
     w = log_mz - math.log(-log_mz)
     for _ in range(50):
         step = (w + math.log(-w) - log_mz) / (1.0 + 1.0 / w)
@@ -117,13 +118,7 @@ def solve_parameters(
     if _f(_THETA_CAP, a) <= bound:
         theta = _THETA_CAP
     else:
-        z = -2.0 * a * bound**2 * math.exp(-2.0 * a)
-        if -z < sys.float_info.min:  # z is subnormal or 0: W from log(-z)
-            w = _lambert_wm1_log(math.log(2.0 * a) + 2.0 * math.log(bound) - 2.0 * a)
-        else:
-            p = -math.sqrt(max(2.0 * (1.0 + math.e * z), 0.0))  # 0 where z rounds to or past -1/e
-            w = (lambertw(z, -1).real if p < -1e-3
-                 else -1.0 + p - p * p / 3.0 + 11.0 / 72.0 * p**3)
+        w = _lambert_wm1(math.log(2.0 * a) + 2.0 * math.log(bound) - 2.0 * a)
         theta = math.exp(1.0 + w / (2.0 * a))
         if not theta >= 1e-280:  # underflowed to 0, a subnormal without precision, or nan
             feasible, reason, theta = False, "theta-constraint unsatisfiable", 1e-280

@@ -104,6 +104,19 @@ def test_mean_width_closed_forms():
     assert val == pytest.approx(9.9749, abs=2e-4)
     val, err = mean_width(LpBall(1, 100), "closedForm")
     assert val == pytest.approx(100 * math.sqrt(2 / math.pi), rel=1e-14)
+    for n, value in ((1, math.sqrt(2 / math.pi)), (2, math.sqrt(math.pi / 2))):
+        assert mean_width(LpBall(2, n), "closedForm")[0] == pytest.approx(value, rel=1e-14)
+
+
+@pytest.mark.parametrize("n, value", [
+    (1, math.sqrt(2 / math.pi)),   # E|g|
+    (2, 2 / math.sqrt(math.pi)),   # E max(|g1|, |g2|)
+    (4096, 3.8022953119020606),    # 30-digit reference, rounded
+])
+def test_mean_width_quadrature_known_values(n, value):
+    val, err = mean_width(LpBall(math.inf, n), "quadrature")
+    assert err == 0.0
+    assert val == pytest.approx(value, rel=1e-15, abs=0.0)
 
 
 def test_mean_width_method_errors():

@@ -235,6 +235,27 @@ def test_exact_matches_reference_enumeration_bit_for_bit(case, chunk_bytes, monk
     _assert_bit_identical(got, _reference_exact(X, k))
 
 
+@pytest.mark.parametrize("seed, support, value", [
+    (0, (14, 104, 270, 478), 9.337059000825937),
+    (1, (138, 162, 427, 481), 8.875940928171655),
+    (2, (118, 227, 309, 427), 8.565210392754214),
+    (3, (25, 141, 338, 392), 9.128636630068993),
+])
+def test_greedy_on_event_sparse_shapes_keeps_its_supports(seed, support, value):
+    # Pinned results of the greedy search on the event_sparse shapes
+    # (d = 16, m = 512, k = 4), which builds its candidate block once per round.
+    X = np.random.default_rng(seed).standard_normal((16, 512))
+    got = sparse_supremum(X, 4, restarts=20, seed=seed)
+    assert got.support == support
+    assert got.value == pytest.approx(value, rel=1e-13, abs=0.0)
+    _assert_bit_identical(got, _reference_greedy(X, 4, 20, seed))
+
+
+def _swap(X, support, i, cand, floor):
+    B = X[:, cand]
+    return _swap_values(X, support, i, B, (B * B).sum(axis=0), floor)
+
+
 @pytest.mark.parametrize("case", sorted(_search_cases()))
 def test_swap_bound_keeps_every_candidate_that_reaches_the_floor(case):
     X, k = _search_cases()[case]
@@ -246,7 +267,7 @@ def test_swap_bound_keeps_every_candidate_that_reaches_the_floor(case):
         for i in support:
             ref = _reference_swap_values(X, support, i, cand)
             for floor in np.unique(ref):
-                keep, vals = _swap_values(X, support, i, cand, float(floor))
+                keep, vals = _swap(X, support, i, cand, float(floor))
                 assert set(np.flatnonzero(ref >= floor)) <= set(keep.tolist())
                 assert vals.tobytes() == ref[keep].tobytes()
 
@@ -257,7 +278,7 @@ def test_swap_bound_prunes_most_candidates_at_the_best_value():
     cand = np.setdiff1d(np.arange(512), support)
     for i in support:
         best = _reference_swap_values(X, support, i, cand).max()
-        keep, _ = _swap_values(X, support, i, cand, float(best))
+        keep, _ = _swap(X, support, i, cand, float(best))
         assert 1 <= keep.size <= cand.size // 4
 
 

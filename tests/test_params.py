@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
 from dmlab.params import (
     ParameterSolution,
     SolverConstants,
+    _lambert_wm1,
     constraints_satisfied,
     solve_parameters,
 )
@@ -130,11 +132,37 @@ def test_tiny_roots_are_not_floored(rho, root):
 @pytest.mark.parametrize("c2", [1e-4, 0.01, 5.3e-161, 1e-300])
 def test_theta_below_the_float_range_is_unsatisfiable(c2):
     # Roots near 1e-492 and 2e-321 (q = 2.1, a = 1/82); at c2 = 5.3e-161 the Lambert
-    # argument is the subnormal -1e-323, where scipy's lambertw returns nan.
+    # argument is the subnormal -1e-323, which W never sees: it works from log(-z).
     sol = solve_parameters(0.25, 2.1, 100.0, 64, SolverConstants(c2=c2))
     assert sol.theta == 1e-280
     assert not sol.feasible
     assert sol.reason == "theta-constraint unsatisfiable"
+
+
+def test_lambert_wm1_solves_w_exp_w_on_a_log_grid():
+    # z from just above -1/e down to -1e-300.  The check is in log form,
+    # w + log(-w) = log(-z): w e^w itself carries |w| ulps of rounding in w
+    # (7.7e-14 at w = -694), which no float w can avoid.
+    for z in -np.logspace(math.log10(1 / math.e) - 1e-12, -300, 4000):
+        log_mz = math.log(-z)
+        w = _lambert_wm1(log_mz)
+        assert w <= -1.0
+        assert w + math.log(-w) == pytest.approx(log_mz, rel=1e-14, abs=0.0), z
+        if w > -30.0:
+            assert w * math.exp(w) == pytest.approx(z, rel=1e-14, abs=0.0), z
+
+
+def test_lambert_wm1_is_continuous_across_the_series_seam():
+    # log(-z) where p = -sqrt(2(ez + 1)) = -1e-3; the series serves p >= -1e-3.
+    seam = math.log1p(-5e-7) - 1.0
+    grid = [seam]
+    for _ in range(8):
+        grid = [float(np.nextafter(grid[0], -np.inf)), *grid,
+                float(np.nextafter(grid[-1], np.inf))]
+    w = [_lambert_wm1(x) for x in grid]
+    steps = np.diff(w)
+    assert (steps > 0).all()  # W_{-1} rises toward -1 as z rises toward -1/e
+    assert steps.max() <= 1e-12
 
 
 def test_root_near_the_peak_stays_real_and_capped():

@@ -4,6 +4,8 @@ import json
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -517,6 +519,31 @@ def test_event_frequency_kind(tmp_path):
     freq = res.summary["series"][0]["eventAFrequency"]
     assert 0.0 <= freq <= 1.0
     assert all(r.event_a_holds is not None for r in res.records)
+
+
+_NO_SCIPY_SCRIPT = """
+import json, sys
+import dmlab
+from dmlab.runner import run_experiment
+for i, cfg in enumerate(json.loads(sys.argv[1])):
+    assert run_experiment(cfg, out_dir=f"run{i}").failures == 0
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_sweeps_run_without_importing_scipy(tmp_path):
+    # The sweeps reach the l_inf quadrature, the rho/q parameter solve and the
+    # l_2 closed form.
+    cfgs = [{**KIND_CFGS["productUniform"], "schedule": [32], "trials": 1},
+            {**_EVENT_SOLVED, "trials": 1},
+            {**BASE_CFG, "trials": 1}]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, json.dumps(cfgs)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 def test_process_sandbox_and_tail_curve(tmp_path):
