@@ -26,8 +26,3 @@ for rho in (0.25, 0.1):
     print(f"  rho={rho}: theta={sol.theta:.3e} delta={sol.delta:.4f} "
           f"d={sol.d} m={sol.m} feasible={sol.feasible} "
           f"roundtrip={constraints_satisfied(sol)}")
-
-print("\nthe two published exponent readings differ (sanity flag):")
-for reading in ("grouped", "literal"):
-    sol = solve_parameters(0.25, 6.0, d_star=1000.0, n=4096, exponent_reading=reading)
-    print(f"  {reading:>8}: theta = {sol.theta:.6e} roundtrip={constraints_satisfied(sol)}")

@@ -9,6 +9,9 @@ on the family lives in this module; three families are supported:
                            conjugate ball, kept implicit (never materialized).
                            The subgradient is sign(x) (|x| / ||x||_p)^(p-1),
                            or sign(x_i) e_i at the first largest |x_i| if p = inf.
+                           One rule serves every finite p: numpy evaluates the
+                           powers 1, 2 and 1/2 exactly as abs-sum, square and
+                           sqrt, so p = 1 and p = 2 need no branch of their own.
   * PolarPolytope(V)    -- body whose polar is conv(V u -V); the norm is the
                            max inner product against the stored vertices.
   * DiagonalImage(K, s) -- diag(s) K for positive scales s; the norm and the
@@ -109,10 +112,6 @@ def _norm_many_unchecked(body: ConvexBody, X: np.ndarray) -> np.ndarray:
     if isinstance(body, LpBall):
         if math.isinf(body.p):
             return np.abs(X).max(axis=-1)
-        if body.p == 1.0:
-            return np.abs(X).sum(axis=-1)
-        if body.p == 2.0:
-            return np.linalg.norm(X, axis=-1)
         return (np.abs(X) ** body.p).sum(axis=-1) ** (1.0 / body.p)
     if isinstance(body, PolarPolytope):
         return (X @ body.dual_vertices.T).max(axis=-1)
@@ -130,13 +129,8 @@ def _pullback_subgradients(body: ConvexBody, P: np.ndarray, gamma: np.ndarray,
             sgn = np.sign(P[np.arange(P.shape[0]), idx])
             sgn[sgn == 0.0] = 1.0
             return sgn[:, None] * gamma[idx, :]
-        if body.p == 1.0:
-            return np.sign(P) @ gamma
         safe = np.where(norms > 0.0, norms, 1.0)
-        if body.p == 2.0:
-            g_y = P / safe[:, None]
-        else:
-            g_y = np.sign(P) * (np.abs(P) / safe[:, None]) ** (body.p - 1.0)
+        g_y = np.sign(P) * (np.abs(P) / safe[:, None]) ** (body.p - 1.0)
         return g_y @ gamma
     if isinstance(body, PolarPolytope):
         idx = np.argmax(P @ body.dual_vertices.T, axis=1)
@@ -210,8 +204,14 @@ def mean_width(
 
     if method == "closedForm":
         if isinstance(body, LpBall) and body.p == 2.0:
-            n = body.n
-            return math.sqrt(2.0) * math.exp(math.lgamma((n + 1) / 2) - math.lgamma(n / 2)), 0.0
+            # sqrt(2) Gamma((n+1)/2) / Gamma(n/2) to within 7e-16: the gamma quotient while
+            # both are in range, else the series of Gamma(x+1/2) / Gamma(x) in t = 1/x at
+            # x = n/2, truncated below 2e-17.  A difference of lgammas would cancel.
+            n, t = body.n, 2.0 / body.n
+            if n <= 300:
+                return math.sqrt(2.0) * math.gamma((n + 1) / 2) / math.gamma(n / 2), 0.0
+            series = 1 - t * (1/8 - t * (1/128 + t * (5/1024 - t * (21/32768 + t * 399/262144))))
+            return math.sqrt(n) * series, 0.0
         if isinstance(body, LpBall) and body.p == 1.0:
             return body.n * math.sqrt(2.0 / math.pi), 0.0
         raise ValueError("closedForm is only supported for LpBall(2, n) and LpBall(1, n)")

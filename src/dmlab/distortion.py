@@ -12,7 +12,7 @@ that `EXACT_METHOD_P` names, the one table the config parser checks too:
                  convexity correction: with M = net max and slack
                  s = rho * M / (1 - rho), [net min - s, net max + s] brackets
                  the true [inf, sup].  True bounds, practical only for small d;
-                 refused when the net's probed covering radius exceeds rho.
+                 refused when rho >= 1 or the probed covering radius exceeds rho.
   multiStartOpt  projected subgradient ascent/descent from random plus axis
                  starts, each holding its point, value and subgradient; a
                  start halves its step on every rejected move and retires
@@ -117,6 +117,8 @@ def measure_distortion(
         sup_method = inf_method = "exactSpectral"
 
     elif method in ("exactRowNorm", "multiStartOpt"):
+        if isinstance(starts, bool) or not isinstance(starts, (int, np.integer)) or starts < 1:
+            raise ValueError(f"{method} needs starts to be an integer >= 1, got {starts!r}")
         sup_method = inf_method = f"multiStartOpt({starts})"
         if method == "exactRowNorm":
             sup_est, sup_method = float(np.linalg.norm(gamma, axis=1).max()), "exactRowNorm"
@@ -129,6 +131,8 @@ def measure_distortion(
             raise ValueError("netCertified requires a sphere net")
         if net.dim != d:
             raise ValueError(f"net dimension {net.dim} does not match Gamma columns {d}")
+        if not net.rho < 1.0:
+            raise ValueError(f"netCertified needs a net with rho < 1, got {net.rho:g}")
         if net.covering_radius_estimate > net.rho:
             raise ValueError("net covering radius exceeds rho; certification unavailable")
         vals = norm_many(body, net.points @ gamma.T)
@@ -136,7 +140,6 @@ def measure_distortion(
         slack = net.rho * net_max / (1.0 - net.rho)
         sup_est = net_max + slack
         inf_est = net_min - slack
-        assert sup_est >= net_max and inf_est <= net_min, "slack must widen the bracket"
         sup_method = inf_method = f"netCertified(rho={net.rho:g},size={net.size})"
         extras.update(net_max=net_max, net_min=net_min, lipschitz_slack=slack)
 

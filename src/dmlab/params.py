@@ -15,16 +15,13 @@ f(theta) = theta^a sqrt(log(e/theta)) = b on the increasing branch of f.  With
 u = log(e/theta) this reads u exp(-2au) = b^2 exp(-2a), so in closed form
 theta = exp(1 + W(z)/(2a)) with z = -2a b^2 exp(-2a) and W the lower real
 branch W_{-1} of the Lambert W function.  W is computed from log(-z), which is
-formed analytically, so z itself is never evaluated and a root that is an
-ordinary float is not lost when z underflows (large a under the literal
-reading).  Where 2(ez + 1) <= 1e-6, next to the branch point -1/e, W is its
-series in p = -sqrt(2(ez + 1)) (Corless et al. 1996); everywhere else it is
-found by Newton's method on w + log(-w) = log(-z).
+formed analytically, so z itself is never evaluated and no separate branch is
+needed where z would underflow.  Where 2(ez + 1) <= 1e-6, next to the branch
+point -1/e, W is its series in p = -sqrt(2(ez + 1)) (Corless et al. 1996);
+everywhere else it is found by Newton's method on w + log(-w) = log(-z).
 
-The grouped exponent reading a = (q-2)/(2(q+2)) is the default; it matches
-the identity 1/2 - 1/r with r = 1 + q/2 used by the sparse-coordinate
-estimates.  The flat left-to-right reading ((q-2)/2)*(q+2) is available
-behind `exponent_reading="literal"` for comparison runs.
+The exponent a = (q-2)/(2(q+2)) is the identity 1/2 - 1/r with r = 1 + q/2
+used by the sparse-coordinate estimates.
 """
 
 from __future__ import annotations
@@ -54,16 +51,11 @@ class ParameterSolution:
     d: int
     constants: SolverConstants
     feasible: bool
-    exponent_reading: str
     reason: str | None = None
 
 
-def _theta_exponent(q: float, reading: str) -> float:
-    if reading == "grouped":
-        return (q - 2.0) / (2.0 * (q + 2.0))
-    if reading == "literal":
-        return ((q - 2.0) / 2.0) * (q + 2.0)
-    raise ValueError(f"unknown exponent reading {reading!r}")
+def _theta_exponent(q: float) -> float:
+    return (q - 2.0) / (2.0 * (q + 2.0))
 
 
 def _f(theta: float, a: float) -> float:
@@ -94,7 +86,6 @@ def solve_parameters(
     d_star: float,
     n: int,
     constants: SolverConstants | None = None,
-    exponent_reading: str = "grouped",
 ) -> ParameterSolution:
     """Solve the constraint system; clamps keep theta and delta strictly below 1/4."""
     if not 0.0 < rho <= 0.25:
@@ -112,7 +103,7 @@ def solve_parameters(
     log_term = math.log(5.0 / rho)
     delta = min(c.c1 / log_term, _THETA_CAP)
 
-    a = _theta_exponent(q, exponent_reading)
+    a = _theta_exponent(q)
     bound = c.c2 / log_term
     feasible, reason = True, None
     if _f(_THETA_CAP, a) <= bound:
@@ -128,14 +119,13 @@ def solve_parameters(
         feasible, reason, d = False, reason or "d<1", 1
     m = int(math.ceil(c.c0 * max(d_star / rho, float(n))))
     return ParameterSolution(rho=rho, q=q, theta=theta, delta=delta, m=m, d=d,
-                             constants=c, feasible=feasible,
-                             exponent_reading=exponent_reading, reason=reason)
+                             constants=c, feasible=feasible, reason=reason)
 
 
 def constraints_satisfied(sol: ParameterSolution) -> bool:
     """Round-trip check: the returned (theta, delta) satisfy the constraint predicates."""
     log_term = math.log(5.0 / sol.rho)
-    a = _theta_exponent(sol.q, sol.exponent_reading)
+    a = _theta_exponent(sol.q)
     ok_delta = sol.delta <= sol.constants.c1 / log_term + 1e-9 and 0 < sol.delta < 0.25
     ok_theta = _f(sol.theta, a) <= sol.constants.c2 / log_term + 1e-9 and 0 < sol.theta < 0.25
     return ok_delta and ok_theta

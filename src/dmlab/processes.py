@@ -22,6 +22,7 @@ from dmlab.seeding import child_seed, mc_chunks, mc_mean
 
 _EXACT_DIM_CAP = 20
 _TAIL_MULTIPLES = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)  # tail points x / sigma*
+TAIL_MIN_TRIALS = 10**4  # fewest draws concentration_check accepts
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,7 +221,7 @@ def concentration_check(
     Rows pair x (multiples of sigma* = max_v ||v||_2) with the observed
     P(|sup - mean| > x) and the reference 2 exp(-CONCENTRATION_C x^2 / sigma*^2).
     """
-    if trials < 10**4:
+    if trials < TAIL_MIN_TRIALS:
         raise ValueError("concentration_check needs trials >= 1e4")
     V = T.vectors.T
     draw = _coefficients("bernoulli", np.random.default_rng(seed), T.ell)

@@ -44,7 +44,7 @@ from dmlab.ensembles import EnsembleSpec, product_spec, sample_matrix, sample_pr
 from dmlab.events import check_event_A, check_event_constants
 from dmlab.nets import build_sphere_net
 from dmlab.params import SolverConstants, solve_parameters
-from dmlab.processes import concentration_check, emp_sup, index_set, sudakov_lower
+from dmlab.processes import TAIL_MIN_TRIALS, concentration_check, emp_sup, index_set, sudakov_lower
 from dmlab.seeding import child_seed
 
 
@@ -66,7 +66,7 @@ _TOP_KEYS = {
 
 _PROCESS_DEFAULTS = {"setSize": 32, "setDim": 16, "innerTrials": 10_000, "supTrials": 2000}
 _EVENT_DEFAULTS = {"kappa1": 2.0, "restarts": 20, "rho": 0.25, "q": 6.0}
-_SOLVER_KEYS = ("rho", "q", "c0", "c1", "c2", "c3")  # read only when theta and delta are not given
+_SOLVER_KEYS = ("rho", "q", "c1", "c2")  # theta and delta depend on these alone
 
 
 def _expect_keys(d, allowed: set, ctx: str) -> None:
@@ -225,7 +225,7 @@ def parse_config(cfg: dict) -> ExperimentConfig:
         try:  # the bounds are those that the solver and the event check enforce
             if not given:  # dStar and n do not enter theta or delta
                 sol = solve_parameters(consts["rho"], consts["q"], 1.0, 1, SolverConstants(
-                    **{c: consts[c] for c in ("c0", "c1", "c2", "c3") if c in consts}))
+                    **{c: consts[c] for c in ("c1", "c2") if c in consts}))
                 consts.update(theta=sol.theta, delta=sol.delta)
             event = (consts["kappa1"], consts["delta"], consts["theta"], consts["restarts"])
             check_event_constants(*event)
@@ -236,7 +236,7 @@ def parse_config(cfg: dict) -> ExperimentConfig:
     _expect_keys(process, set(_PROCESS_DEFAULTS), "process")
     _require(kind.process or "process" not in cfg, f"{name} takes no process")
     for key, value in process.items():
-        low = 10**4 if key == "innerTrials" else 1  # concentration_check needs 1e4 draws
+        low = TAIL_MIN_TRIALS if key == "innerTrials" else 1
         _require(_is_int(value, low), f"process.{key} must be an integer >= {low}")
 
     outputs = cfg.get("outputs", {})

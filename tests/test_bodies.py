@@ -6,6 +6,8 @@ import pytest
 from dmlab.bodies import (
     BodyConstants,
     LpBall,
+    _norm_many_unchecked,
+    _pullback_subgradients,
     critical_dimension,
     diagonal_image,
     dual_norm_sup,
@@ -106,6 +108,23 @@ def test_mean_width_closed_forms():
     assert val == pytest.approx(100 * math.sqrt(2 / math.pi), rel=1e-14)
     for n, value in ((1, math.sqrt(2 / math.pi)), (2, math.sqrt(math.pi / 2))):
         assert mean_width(LpBall(2, n), "closedForm")[0] == pytest.approx(value, rel=1e-14)
+
+
+# sqrt(2) Gamma((n+1)/2) / Gamma(n/2), from mpmath at 50 digits, rounded once.
+# n = 300 | 302 sit on either side of the switch from the gamma quotient to the series.
+@pytest.mark.parametrize("n, value", [
+    (1, 0.7978845608028654), (2, 1.2533141373155003), (3, 1.5957691216057308),
+    (17, 4.062949695165235), (100, 9.975031639551052), (299, 17.277164661998956),
+    (300, 17.30608035806067), (301, 17.334947821403635), (302, 17.36376729258754),
+    (399, 19.962472634299967), (512, 22.616371158493823), (4096, 63.99609386924567),
+    (10**4, 99.9975000312539), (10**5, 316.2269754484111), (10**6, 999.9997500000312),
+    (10**7, 3162.277581111439),
+])
+def test_l2_mean_width_closed_form_is_accurate(n, value):
+    # exp(lgamma((n+1)/2) - lgamma(n/2)) was off by 1.6e-13 at n = 512, 1.9e-9 at 1e7.
+    val, err = mean_width(LpBall(2, n), "closedForm")
+    assert err == 0.0
+    assert val == pytest.approx(value, rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("n, value", [
@@ -211,3 +230,28 @@ def test_norm_many_matches_scalar():
     batch = norm_many(body, X)
     for i in range(40):
         assert batch[i] == pytest.approx(norm_many(body, X[i:i + 1])[0], rel=1e-13)
+
+
+def _lp_reference(p, P, gamma):
+    """The dedicated p = 1 and p = 2 rules that the one finite-p rule replaced."""
+    if p == 1.0:
+        return np.abs(P).sum(axis=-1), np.sign(P) @ gamma
+    norms = np.linalg.norm(P, axis=-1)
+    return norms, (P / np.where(norms > 0.0, norms, 1.0)[:, None]) @ gamma
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_finite_p_rule_is_bitwise_the_p1_and_p2_rules(p):
+    rng = np.random.default_rng(int(p))
+    for trial in range(200):
+        k, n, d = rng.integers(1, 9), rng.integers(1, 40), rng.integers(1, 6)
+        P = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-3, 3, size=(k, 1))
+        P[rng.random((k, n)) < 0.2] = -0.0
+        P[rng.random(k) < 0.25] = 0.0          # whole zero rows
+        P[rng.random(k) < 0.25] = -0.0
+        gamma = rng.standard_normal((n, d))
+        body = LpBall(p, n)
+        ref_norms, ref_sub = _lp_reference(p, P, gamma)
+        norms = _norm_many_unchecked(body, P)
+        assert np.array_equal(norms, ref_norms), trial
+        assert np.array_equal(_pullback_subgradients(body, P, gamma, norms), ref_sub), trial

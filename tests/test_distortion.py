@@ -189,6 +189,42 @@ def test_net_certified_rejects_uncovered_net():
         measure_distortion(LpBall(2, 16), G, "netCertified", net=net, seed=0)
 
 
+@pytest.mark.parametrize("rho", [1.0, 1.5])
+def test_net_certified_rejects_rho_of_one_or_more(rho):
+    # The slack rho M / (1 - rho) divides by zero at rho = 1 and is negative above.
+    net = build_sphere_net(2, rho, 1000, 1)
+    assert net.covering_radius_estimate <= net.rho  # refused for rho, not for coverage
+    G = np.random.default_rng(0).standard_normal((16, 2))
+    with pytest.raises(ValueError, match="rho < 1"):
+        measure_distortion(LpBall(2, 16), G, "netCertified", net=net, seed=0)
+
+
+def test_net_certified_keeps_nets_between_one_half_and_one():
+    # Such a net's bracket may reach below zero, but its raw max and min are still read.
+    G = np.random.default_rng(0).standard_normal((16, 2))
+    for rho in (0.5, 0.75, 0.99):
+        net = build_sphere_net(2, rho, 1000, 1)
+        rep = measure_distortion(LpBall(2, 16), G, "netCertified", net=net, seed=0)
+        assert rep.sup_est >= rep.net_max >= rep.net_min >= rep.inf_est
+        assert rep.lipschitz_slack == pytest.approx(rho * rep.net_max / (1 - rho), rel=1e-15)
+
+
+@pytest.mark.parametrize("starts", [-1, 0, 2.5, True, "8"])
+@pytest.mark.parametrize("method, p", [("exactRowNorm", math.inf), ("multiStartOpt", 3.0)])
+def test_starts_must_be_a_positive_integer(method, p, starts):
+    G = np.random.default_rng(0).standard_normal((16, 3))
+    with pytest.raises(ValueError, match="starts"):
+        measure_distortion(LpBall(p, 16), G, method, starts=starts, seed=0)
+
+
+def test_starts_accepts_numpy_integers():
+    G = np.random.default_rng(0).standard_normal((16, 3))
+    plain = measure_distortion(LpBall(3.0, 16), G, "multiStartOpt", starts=4, seed=0)
+    wide = measure_distortion(LpBall(3.0, 16), G, "multiStartOpt", starts=np.int64(4), seed=0)
+    assert (plain.sup_est, plain.inf_est) == (wide.sup_est, wide.inf_est)
+    assert plain.sup_method == wide.sup_method == "multiStartOpt(4)"
+
+
 def test_method_body_compatibility():
     G = np.random.default_rng(0).standard_normal((16, 4))
     with pytest.raises(ValueError):

@@ -90,33 +90,18 @@ def test_roundtrip_on_grid():
             assert 0 < sol.theta < 0.25 and 0 < sol.delta < 0.25
 
 
-def test_literal_exponent_reading_differs():
-    grouped = solve_parameters(0.25, 6.0, 100.0, 512, exponent_reading="grouped")
-    literal = solve_parameters(0.25, 6.0, 100.0, 512, exponent_reading="literal")
-    assert grouped.theta != literal.theta
-    assert (grouped.exponent_reading, literal.exponent_reading) == ("grouped", "literal")
-    with pytest.raises(ValueError):
-        solve_parameters(0.25, 6.0, 100.0, 512, exponent_reading="mystery")
-
-
-def _a(q, reading):
-    return (q - 2) / (2 * (q + 2)) if reading == "grouped" else ((q - 2) / 2) * (q + 2)
-
-
-@pytest.mark.parametrize("reading", ["grouped", "literal"])
-def test_theta_is_the_increasing_branch_root_on_a_grid(reading):
+def test_theta_is_the_increasing_branch_root_on_a_grid():
     interior = 0
     for rho in (0.25, 0.2, 0.1, 0.05, 0.01, 1e-3):
         for q in (2.1, 3.0, 4.0, 6.0, 12.0, 50.0):
             for c2 in (1e-4, 1e-3, 0.01, 0.1, 1.0, 4.0):
-                sol = solve_parameters(rho, q, 100.0, 64, SolverConstants(c2=c2),
-                                       exponent_reading=reading)
+                sol = solve_parameters(rho, q, 100.0, 64, SolverConstants(c2=c2))
                 if not 1e-280 < sol.theta < 0.2499:
                     continue
                 interior += 1
-                a = _a(q, reading)
-                f = sol.theta**a * math.sqrt(math.log(math.e / sol.theta))
-                assert abs(f / (c2 / math.log(5.0 / rho)) - 1.0) <= 1e-12, (rho, q, c2)
+                a = (q - 2) / (2 * (q + 2))
+                assert abs(_f(sol.theta, q) / (c2 / math.log(5.0 / rho)) - 1.0) <= 1e-12, \
+                    (rho, q, c2)
                 assert sol.theta < math.exp(1.0 - 1.0 / (2.0 * a)), (rho, q, c2)
     assert interior >= 50
 
@@ -177,13 +162,6 @@ def test_root_near_the_peak_stays_real_and_capped():
         assert constraints_satisfied(sol)
 
 
-@pytest.mark.parametrize("rho, q", [(0.25, 6.0), (0.1, 3.0), (0.05, 12.0), (0.25, 3.0)])
-def test_roundtrip_reads_the_solution_reading(rho, q):
-    sol = solve_parameters(rho, q, 200.0, 256, exponent_reading="literal")
-    assert sol.exponent_reading == "literal"
-    assert constraints_satisfied(sol)
-
-
 @pytest.mark.parametrize("field", ["c0", "c1", "c2", "c3"])
 def test_solver_constants_must_be_positive(field):
     for value in (0.0, -1.0):
@@ -191,13 +169,9 @@ def test_solver_constants_must_be_positive(field):
             solve_parameters(0.25, 6.0, 100.0, 64, SolverConstants(**{field: value}))
 
 
-def test_literal_reading_root_survives_underflowing_lambert_argument():
-    # z = -2a b^2 e^(-2a) underflows at c2 = 1e-160, but the root is an
-    # ordinary float: W_{-1} is then evaluated from log(-z).
-    for c2, theta in ((1e-150, 2.3978e-61), (1e-160, 2.37e-65)):
-        sol = solve_parameters(0.25, 3.0, 100.0, 512, SolverConstants(c2=c2),
-                               exponent_reading="literal")
-        assert sol.theta == pytest.approx(theta, rel=1e-3)
-        assert sol.reason != "theta-constraint unsatisfiable"
-        log_f = _a(3.0, "literal") * math.log(sol.theta) + 0.5 * math.log(1.0 - math.log(sol.theta))
-        assert log_f == pytest.approx(math.log(c2 / math.log(20.0)), rel=1e-12)
+@pytest.mark.parametrize("log_mz", [-750.0, -1e4, -1e6])
+def test_lambert_wm1_works_below_the_float_range_of_z(log_mz):
+    # z = -exp(L) underflows to 0 at all three; W_{-1} is computed from
+    # L = log(-z) alone, so it needs no branch of its own for them.
+    w = _lambert_wm1(log_mz)
+    assert w + math.log(-w) == pytest.approx(log_mz, rel=1e-14, abs=0.0)

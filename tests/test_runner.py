@@ -15,6 +15,7 @@ import dmlab.runner as runner_mod
 from dmlab.bodies import LpBall
 from dmlab.cli import main as cli_main
 from dmlab.distortion import measure_distortion
+from dmlab.processes import TAIL_MIN_TRIALS, concentration_check, index_set
 from dmlab.runner import (
     CSV_COLUMNS,
     ConfigError,
@@ -201,6 +202,37 @@ def test_cli_rejects_bad_event_constants_with_exit_2(tmp_path):
     path.write_text(json.dumps(cfg))
     assert cli_main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field", ["c0", "c3"])
+def test_constants_c0_and_c3_are_rejected(field, tmp_path):
+    # c0 sets only the solver's m and c3 only its d; the sweep takes both from its rules.
+    cfg = {**_EVENT_SOLVED, "constants": {**_EVENT_SOLVED["constants"], field: 2.0}}
+    with pytest.raises(ConfigError, match=rf"unknown fields in constants: \['{field}'\]"):
+        parse_config(cfg)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli_main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_solver_key_moves_theta_or_delta():
+    base = parse_config(_EVENT_SOLVED).event
+    for key, value in {"rho": 0.01, "q": 3.0, "c1": 0.1, "c2": 0.5}.items():
+        assert key in runner_mod._SOLVER_KEYS
+        cfg = {**_EVENT_SOLVED, "constants": {**_EVENT_SOLVED["constants"], key: value}}
+        assert parse_config(cfg).event[1:3] != base[1:3], key
+    assert set(runner_mod._SOLVER_KEYS) == {"rho", "q", "c1", "c2"}
+
+
+def test_inner_trials_floor_is_the_concentration_check_floor():
+    low = TAIL_MIN_TRIALS
+    sandbox = {**SANDBOX_CFG, "process": {**SANDBOX_CFG["process"], "innerTrials": low - 1}}
+    with pytest.raises(ConfigError, match=f"process.innerTrials must be an integer >= {low}"):
+        parse_config(sandbox)
+    with pytest.raises(ValueError, match="concentration_check needs trials >= 1e4"):
+        concentration_check(index_set([[1.0, 0.0]]), trials=low - 1)
+    parse_config({**sandbox, "process": {**sandbox["process"], "innerTrials": low}})
 
 
 def test_theta_is_solved_once_per_run(tmp_path, monkeypatch):
