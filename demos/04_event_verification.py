@@ -33,7 +33,7 @@ for kind in ("UniformIsotropic", "LogConcaveSimplex", "HeavyTailedBounded"):
                             restarts=10, seed=child_seed(12, s))
         held += rep.event_a_holds
     print(f"{kind}: event held {held}/20; last draw kappa1 measured "
-          f"{rep.kappa1_measured:.3f}, spectrum [{rep.lambda_min:.3f}, "
+          f"{rep.lambda_max:.3f}, spectrum [{rep.lambda_min:.3f}, "
           f"{rep.lambda_max:.3f}] x sqrt(m)")
     ks = sorted(rep.sparse_sup)
     prof = "  ".join(f"{k}:{rep.sparse_sup[k]:.1f}" for k in ks[:6])

@@ -56,7 +56,7 @@ class DistortionReport:
 
 
 def _multistart(body: ConvexBody, gamma: np.ndarray, starts: int, seed: int,
-                mode: int, iters: int = _OPT_ITERS) -> float:
+                mode: int) -> float:
     """Best value found by projected subgradient ascent (+1) or descent (-1).
 
     Each start keeps its point x, value ||Gamma x||_K and pulled-back
@@ -73,7 +73,7 @@ def _multistart(body: ConvexBody, gamma: np.ndarray, starts: int, seed: int,
     G = _pullback_subgradients(body, P, gamma, vals)
     step = np.full(X.shape[0], 0.5)
     active = np.arange(X.shape[0])
-    for _ in range(iters):
+    for _ in range(_OPT_ITERS):
         cand = X[active] + mode * step[active, None] * G[active]
         cn = np.linalg.norm(cand, axis=1, keepdims=True)
         cn[cn == 0.0] = 1.0

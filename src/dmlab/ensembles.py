@@ -105,9 +105,7 @@ def _sample_vectors(kind: str, rng: np.random.Generator, count: int, dim: int) -
         return math.sqrt(dim) * G / np.linalg.norm(G, axis=1, keepdims=True)
     if kind == "LogConcaveSimplex":
         return _simplex_ball_vectors(rng, count, dim)
-    if kind == "HeavyTailedBounded":
-        return _heavy_tailed_vectors(rng, count, dim)
-    raise ValueError(kind)
+    return _heavy_tailed_vectors(rng, count, dim)  # HeavyTailedBounded
 
 
 def sample_matrix(spec: EnsembleSpec, seed: int | np.random.Generator) -> np.ndarray:
@@ -166,10 +164,6 @@ class ProductEnsembleSpec:
     @property
     def n(self) -> int:
         return self.row_spec.cols
-
-    @property
-    def d(self) -> int:
-        return self.col_spec.rows
 
 
 def product_spec(z_kind: str, x_kind: str, n: int, d: int, m: int) -> ProductEnsembleSpec:

@@ -132,7 +132,6 @@ class AdmissibleSequence:
 
     level_indices: list            # per level: indices into T (selection order)
     assignments: np.ndarray        # (levels, size): index of pi_s(v) in T
-    caps: tuple
 
 
 def _pairwise(V: np.ndarray) -> np.ndarray:
@@ -174,7 +173,7 @@ def gamma2_upper(T: FiniteIndexSet) -> tuple[float, AdmissibleSequence]:
         step = np.linalg.norm(V[assignments[s + 1]] - V[assignments[s]], axis=1)
         totals += 2.0 ** (s / 2.0) * step
     value = float(totals.max())
-    return value, AdmissibleSequence(levels, assignments, tuple(caps))
+    return value, AdmissibleSequence(levels, assignments)
 
 
 def sudakov_lower(T: FiniteIndexSet) -> float:

@@ -3,8 +3,14 @@
 A config names one experiment kind, a body family, a dimension schedule and
 rules deriving the subspace dimension d and the intermediate dimension m from
 each ambient n.  The table `_KINDS` maps each kind to its trial function and
-to what its config must carry; `_D_RULES` and `_M_RULES` pair each rule's
-check with its derivation.  `parse_config` validates a config once and
+to the config sections it needs and may also take; any other is rejected.
+gaussianDM needs body, dRule and distortionMethod; cubeCounterexample needs
+body and dRule and takes distortionMethod; the three product kinds need body,
+dRule, mRule and distortionMethod; eventAFrequency needs body, dRule and mRule
+and takes constants; processSandbox takes process, for d and m, and a dRule,
+which it checks but does not read.  Every number in a config must be finite
+(`json` also reads NaN and Infinity).  `_D_RULES` and `_M_RULES` pair each
+rule's check with its derivation.  `parse_config` validates a config once and
 resolves what the sweep reads: the bodies, the ensemble laws, the distortion
 method, event A's constants, the process sizes and the experiment id.  Every
 trial draws its own seed from the master seed and the global trial index, so
@@ -28,6 +34,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 import time
 from dataclasses import dataclass, replace
 from itertools import repeat
@@ -58,11 +65,10 @@ CSV_COLUMNS = (
     "methodTags", "error",
 )
 
-_TOP_KEYS = {
-    "experimentKind", "body", "ensembles", "schedule", "dRule", "mRule",
-    "trials", "masterSeed", "distortionMethod", "outputs", "constants",
-    "process", "recordTiming",
-}
+# The config sections that each kind needs or takes (`_Kind.needs`, `_Kind.takes`).
+_SECTIONS = ("body", "dRule", "mRule", "distortionMethod", "constants", "process")
+_TOP_KEYS = {"experimentKind", "ensembles", "schedule", "trials", "masterSeed", "outputs",
+             "recordTiming", *_SECTIONS}
 
 _PROCESS_DEFAULTS = {"setSize": 32, "setDim": 16, "innerTrials": 10_000, "supTrials": 2000}
 _EVENT_DEFAULTS = {"kappa1": 2.0, "restarts": 20, "rho": 0.25, "q": 6.0}
@@ -81,7 +87,7 @@ def _require(cond: bool, msg: str) -> None:
 
 
 def _is_num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def _is_int(v, low: int = 1) -> bool:
@@ -101,16 +107,16 @@ _D_RULES = {
     "fixedPerN": _Rule("values", "a list of one integer >= 1 per schedule entry",
                        lambda v, k: isinstance(v, list) and len(v) == k and all(map(_is_int, v)),
                        lambda r, i, n, ds: r["values"][i]),
-    "fractionOfDStar": _Rule("c", "positive", lambda v, k: _is_num(v) and v > 0,
+    "fractionOfDStar": _Rule("c", "positive and finite", lambda v, k: _is_num(v) and v > 0,
                              lambda r, i, n, ds: max(1, int(round(r["c"] * ds)))),
-    "logN": _Rule("c", "positive", lambda v, k: _is_num(v) and v > 0,
+    "logN": _Rule("c", "positive and finite", lambda v, k: _is_num(v) and v > 0,
                   lambda r, i, n, ds: max(1, int(math.floor(r["c"] * math.log(n))))),
 }
 
 _M_RULES = {
     "fixed": _Rule("m", "an integer >= 1", lambda v, k: _is_int(v),
                    lambda r, i, n, ds: r["m"]),
-    "multipleOfN": _Rule("c", "positive", lambda v, k: _is_num(v) and v > 0,
+    "multipleOfN": _Rule("c", "positive and finite", lambda v, k: _is_num(v) and v > 0,
                          lambda r, i, n, ds: int(math.ceil(r["c"] * n))),
 }
 
@@ -151,6 +157,10 @@ def parse_config(cfg: dict) -> ExperimentConfig:
     name = cfg.get("experimentKind")
     kind = _KINDS.get(name) if isinstance(name, str) else None
     _require(kind is not None, f"experimentKind must be one of {tuple(_KINDS)}")
+    for section in _SECTIONS:
+        _require(section in cfg or section not in kind.needs, f"{name} requires {section}")
+        _require(section not in cfg or section in kind.needs + kind.takes,
+                 f"{name} takes no {section}")
 
     schedule = cfg.get("schedule")
     _require(isinstance(schedule, list) and len(schedule) >= 1, "schedule must be a nonempty list")
@@ -164,35 +174,26 @@ def parse_config(cfg: dict) -> ExperimentConfig:
     record_timing = cfg.get("recordTiming", False)
     _require(isinstance(record_timing, bool), "recordTiming must be a boolean")
 
-    body = cfg.get("body")
     bodies = ()
-    if kind.process:
-        _require(body is None, f"{name} takes no body")
-    else:
+    if "body" in cfg:
+        body = cfg["body"]
         _require(isinstance(body, dict) and body.get("kind") in _BODY_KINDS,
                  f"body must be a JSON object with kind one of {tuple(_BODY_KINDS)}")
         field, build = _BODY_KINDS[body["kind"]]
         _expect_keys(body, {"kind", field}, f"body {body['kind']}")
         bodies = build(body.get(field), schedule)
-
-    if not (kind.process and "dRule" not in cfg):  # a sandbox reads d from `process`
-        _check_rule(cfg, "dRule", _D_RULES, len(schedule))
-    _require((cfg.get("mRule") is not None) == kind.m_rule,
-             f"{name} {'requires an' if kind.m_rule else 'takes no'} mRule")
-    if kind.m_rule:
-        _check_rule(cfg, "mRule", _M_RULES, len(schedule))
+    for section, rules in (("dRule", _D_RULES), ("mRule", _M_RULES)):
+        if section in cfg:
+            _check_rule(cfg, section, rules, len(schedule))
 
     ens = cfg.get("ensembles", {})
     _expect_keys(ens, set(kind.laws), "ensembles")
     for slot, val in ens.items():
         _require(val in ENSEMBLE_KINDS, f"ensembles.{slot} must be one of {ENSEMBLE_KINDS}")
 
-    dist = cfg.get("distortionMethod")
     method = distortion = None
-    if dist is None:
-        _require(not kind.method_required, f"{name} requires a distortionMethod")
-    else:
-        _require(bool(kind.methods), f"{name} takes no distortionMethod")
+    if "distortionMethod" in cfg:
+        dist = cfg["distortionMethod"]
         method = dist.get("method") if isinstance(dist, dict) else None
         _require(method in kind.methods,
                  f"{name} supports the distortion methods {' | '.join(kind.methods)}")
@@ -211,12 +212,11 @@ def parse_config(cfg: dict) -> ExperimentConfig:
                  f"{method if method in EXACT_METHOD_P else name} "
                  f"requires body LpBall({need_p:g}, n)")
 
-    constants = cfg.get("constants", {})
-    _expect_keys(constants, {"kappa1", "restarts", "theta", "delta", *_SOLVER_KEYS}, "constants")
-    _require(kind.solves_event or "constants" not in cfg, f"{name} takes no constants")
-    _require(all(map(_is_num, constants.values())), "constants must be numbers")
     event = None
-    if kind.solves_event:
+    if "constants" in kind.takes:  # the event kind solves its constants even when none are given
+        constants = cfg.get("constants", {})
+        _expect_keys(constants, {*_EVENT_DEFAULTS, *_SOLVER_KEYS, "theta", "delta"}, "constants")
+        _require(all(map(_is_num, constants.values())), "constants must be numbers, all finite")
         given = {"theta", "delta"} & set(constants)
         _require(len(given) != 1, "constants.theta and constants.delta must come together")
         unread = sorted(set(constants) & set(_SOLVER_KEYS)) if given else []
@@ -226,6 +226,7 @@ def parse_config(cfg: dict) -> ExperimentConfig:
             if not given:  # dStar and n do not enter theta or delta
                 sol = solve_parameters(consts["rho"], consts["q"], 1.0, 1, SolverConstants(
                     **{c: consts[c] for c in ("c1", "c2") if c in consts}))
+                _require(sol.reason != "theta-constraint unsatisfiable", sol.reason)
                 consts.update(theta=sol.theta, delta=sol.delta)
             event = (consts["kappa1"], consts["delta"], consts["theta"], consts["restarts"])
             check_event_constants(*event)
@@ -234,7 +235,6 @@ def parse_config(cfg: dict) -> ExperimentConfig:
 
     process = cfg.get("process", {})
     _expect_keys(process, set(_PROCESS_DEFAULTS), "process")
-    _require(kind.process or "process" not in cfg, f"{name} takes no process")
     for key, value in process.items():
         low = TAIL_MIN_TRIALS if key == "innerTrials" else 1
         _require(_is_int(value, low), f"process.{key} must be an integer >= {low}")
@@ -253,7 +253,7 @@ def parse_config(cfg: dict) -> ExperimentConfig:
 
 
 def _lp_balls(p, schedule: list) -> tuple:
-    _require(p == "inf" or (_is_num(p) and p >= 1), "body.p must be >= 1 or 'inf'")
+    _require(p == "inf" or (_is_num(p) and p >= 1), "body.p must be a finite number >= 1 or 'inf'")
     return tuple(LpBall(math.inf if p == "inf" else float(p), n) for n in schedule)
 
 
@@ -261,10 +261,11 @@ def _polytopes(verts, schedule: list) -> tuple:
     """One PolarPolytope for every entry, from numbers, one vertex or a list of them."""
     rows = verts if isinstance(verts, list) and verts and isinstance(verts[0], list) else [verts]
     _require(all(isinstance(r, list) and r and all(map(_is_num, r)) for r in rows),
-             "PolarPolytope needs a nonempty dualVertices list of numbers")
+             "PolarPolytope needs a nonempty dualVertices list of numbers; "
+             "dual vertices must be finite")
     try:
         body = polar_polytope(verts)
-    except ValueError as exc:  # non-finite entries, ragged rows
+    except ValueError as exc:  # ragged rows
         raise ConfigError(f"body.dualVertices: {exc}") from None
     for n in schedule:
         _require(body.n == n, f"PolarPolytope dimension {body.n} does not match schedule n={n}")
@@ -389,7 +390,7 @@ def _event_trial(config, ctx, seed) -> dict:
     sparse = rep.sparse_methods[k_main] if rep.k_event else "vacuous"  # floor(theta m) = 0
     return dict(sup_est=rep.sparse_sup[k_main], event_a_holds=rep.event_a_holds,
                 method_tags=f"sparse={sparse};k={k_main};"
-                            f"kappa1Measured={rep.kappa1_measured:.6g}")
+                            f"kappa1Measured={rep.lambda_max:.6g}")
 
 
 def _sandbox_trial(config, ctx, seed) -> dict:
@@ -403,42 +404,38 @@ def _sandbox_trial(config, ctx, seed) -> dict:
                 method_tags="sup=empSupGaussianMC;inf=sudakovLower", tail=tail)
 
 
-@dataclass(frozen=True)
-class _Kind:
-    """One experiment kind: its trial function and what its config must carry."""
-
-    trial: Callable
-    laws: dict                  # ensemble slot -> default law; the allowed `ensembles` slots
-    lp: float | None = None     # the LpBall p the body must have, if any
-    m_rule: bool = False        # an mRule is required; if False, none is allowed
-    methods: tuple = ()         # allowed distortionMethod.method values
-    method_required: bool = False
-    solves_event: bool = False  # reads `constants` for event A
-    process: bool = False       # reads `process` for d and m; no body
-
-
 # The distortionMethod fields that each method reads, besides `method`.
 _METHOD_KEYS = {"exactSpectral": (), "exactRowNorm": ("starts",),
                 "netCertified": ("rho", "candidateBudget"), "multiStartOpt": ("starts",)}
 
-# The kinds that measure the distortion of a map, by any of the four methods.
-_MEASURED = dict(methods=tuple(_METHOD_KEYS), method_required=True)
+
+@dataclass(frozen=True)
+class _Kind:
+    """One experiment kind: its trial function and the config sections it reads."""
+
+    trial: Callable
+    laws: dict                  # ensemble slot -> default law; the allowed `ensembles` slots
+    needs: tuple                # the sections a config must carry
+    takes: tuple = ()           # the sections it may also carry; any other is rejected
+    lp: float | None = None     # the LpBall p the body must have, if any
+    methods: tuple = tuple(_METHOD_KEYS)  # allowed distortionMethod.method values
+
 
 _KINDS = {
-    "gaussianDM": _Kind(_gaussian_trial, {}, **_MEASURED),
-    "cubeCounterexample": _Kind(_cube_trial, {"single": "UniformPM1"}, lp=math.inf,
-                                methods=("exactRowNorm",)),
+    "gaussianDM": _Kind(_gaussian_trial, {}, ("body", "dRule", "distortionMethod")),
+    "cubeCounterexample": _Kind(_cube_trial, {"single": "UniformPM1"}, ("body", "dRule"),
+                                ("distortionMethod",), lp=math.inf, methods=("exactRowNorm",)),
     "productUniform": _Kind(_product_trial, {"row": "UniformPM1", "col": "UniformPM1"},
-                            m_rule=True, **_MEASURED),
+                            ("body", "dRule", "mRule", "distortionMethod")),
     "productLogConcave": _Kind(_product_trial, {"row": "UniformIsotropic",
                                                 "col": "LogConcaveSimplex"},
-                               m_rule=True, **_MEASURED),
+                               ("body", "dRule", "mRule", "distortionMethod")),
     "productHeavyTailed": _Kind(_product_trial, {"row": "UniformIsotropic",
                                                  "col": "HeavyTailedBounded"},
-                                m_rule=True, **_MEASURED),
-    "eventAFrequency": _Kind(_event_trial, {"col": "UniformIsotropic"}, m_rule=True,
-                             solves_event=True),
-    "processSandbox": _Kind(_sandbox_trial, {}, process=True),
+                                ("body", "dRule", "mRule", "distortionMethod")),
+    "eventAFrequency": _Kind(_event_trial, {"col": "UniformIsotropic"},
+                             ("body", "dRule", "mRule"), ("constants",)),
+    "processSandbox": _Kind(_sandbox_trial, {}, (), ("dRule", "process")),
 }
 
 

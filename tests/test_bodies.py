@@ -255,3 +255,22 @@ def test_finite_p_rule_is_bitwise_the_p1_and_p2_rules(p):
         norms = _norm_many_unchecked(body, P)
         assert np.array_equal(norms, ref_norms), trial
         assert np.array_equal(_pullback_subgradients(body, P, gamma, norms), ref_sub), trial
+
+
+def test_lp_ball_rejects_a_nonpositive_dimension():
+    for n in (0, -2):
+        with pytest.raises(ValueError, match="ambient dimension must be positive"):
+            LpBall(2.0, n)
+
+
+@pytest.mark.parametrize("scales, match", [
+    ([1.0, 2.0], r"scales must have shape \(3,\)"),
+    ([[1.0, 2.0, 3.0]], r"scales must have shape \(3,\)"),
+    ([1.0, 0.0, 2.0], "scales must be positive and finite"),
+    ([1.0, -1.0, 2.0], "scales must be positive and finite"),
+    ([1.0, math.inf, 2.0], "scales must be positive and finite"),
+    ([1.0, math.nan, 2.0], "scales must be positive and finite"),
+], ids=["short", "two-dimensional", "zero", "negative", "inf", "nan"])
+def test_diagonal_image_rejects_bad_scales(scales, match):
+    with pytest.raises(ValueError, match=match):
+        diagonal_image(LpBall(2.0, 3), scales)

@@ -131,9 +131,10 @@ def test_multistart_evaluates_norms_once_per_iteration(monkeypatch):
     monkeypatch.setattr("dmlab.bodies._norm_many_unchecked", counting_evaluator)
     monkeypatch.setattr("dmlab.distortion._norm_many_unchecked", counting_evaluator)
     monkeypatch.setattr("dmlab.distortion.norm_many", counting_norm_many)
+    monkeypatch.setattr("dmlab.distortion._OPT_ITERS", 30)
     rng = np.random.default_rng(0)
     G = rng.standard_normal((1024, 12))
-    _multistart(LpBall(3.0, 1024), G, 64, 0, -1, iters=30)
+    _multistart(LpBall(3.0, 1024), G, 64, 0, -1)
     assert len(calls) == 1 + 30
     assert checked == [2 * 12 + 64]  # only the first evaluation checks its input
 
@@ -156,8 +157,9 @@ def test_multistart_pulls_back_only_starts_and_accepted_candidates(monkeypatch):
     monkeypatch.setattr("dmlab.distortion._pullback_subgradients", counting_pullback)
     monkeypatch.setattr("dmlab.distortion._norm_many_unchecked", recording_evaluator)
     monkeypatch.setattr("dmlab.bodies._norm_many_unchecked", recording_evaluator)
+    monkeypatch.setattr("dmlab.distortion._OPT_ITERS", 30)
     G = np.random.default_rng(0).standard_normal((1024, 12))
-    _multistart(LpBall(3.0, 1024), G, 64, 0, -1, iters=30)
+    _multistart(LpBall(3.0, 1024), G, 64, 0, -1)
     vals, accepted = evaluated[0], 0
     for cvals in evaluated[1:]:
         accepted += int((cvals < vals).sum())
@@ -303,3 +305,13 @@ def test_witness_scaling_uniform_pm1():
         w = adversarial_linf_witness(M)
         hits += w.ratio >= 0.4 * 8.0
     assert hits >= 19
+
+
+def test_measure_distortion_rejects_a_mismatched_net_and_an_unknown_method():
+    gamma = np.random.default_rng(0).standard_normal((16, 3))
+    body = LpBall(math.inf, 16)
+    net = build_sphere_net(2, 0.3, 200, seed=0)
+    with pytest.raises(ValueError, match="^net dimension 2 does not match Gamma columns 3$"):
+        measure_distortion(body, gamma, "netCertified", net=net)
+    with pytest.raises(ValueError, match="^unknown distortion method 'bogus'$"):
+        measure_distortion(body, gamma, "bogus")

@@ -36,6 +36,8 @@ def test_spec_validation():
         EnsembleSpec("GaussianIID", 2, -1)
     with pytest.raises(ValueError):
         EnsembleSpec("GaussianIID", 2**20, 2**20)
+    with pytest.raises(ValueError, match="vector_axis must be 'rows' or 'cols'"):
+        EnsembleSpec("GaussianIID", rows=2, cols=3, vector_axis="diagonal")
 
 
 def test_entry_ranges():
@@ -250,3 +252,9 @@ def test_diagnostics_preconditions():
         marginal_diagnostics(spec, probe_directions=4, trials=500, seed=0)
     with pytest.raises(ValueError):
         marginal_diagnostics(spec, probe_directions=0, trials=2000, seed=0)
+
+
+@pytest.mark.parametrize("master, index", [(-1, 0), (0, -1)])
+def test_child_seed_rejects_negative_seeds(master, index):
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        child_seed(master, index)

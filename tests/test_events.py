@@ -294,7 +294,7 @@ def test_sparse_supremum_rejects_bad_restarts(restarts):
 def test_event_zero_matrix_holds():
     rep = check_event_A(np.zeros((4, 40)), kappa1=2.0, delta=0.2, theta=0.2, seed=0)
     assert rep.event_a_holds
-    assert rep.kappa1_measured == 0.0
+    assert rep.lambda_max == 0.0
 
 
 def test_event_single_heavy_column_fails():
@@ -333,7 +333,7 @@ def test_event_vacuous_sparsity_reduces_to_operator_norm():
     X = sample_matrix(EnsembleSpec("LogConcaveSimplex", 8, 64, vector_axis="cols"), 7)
     rep = check_event_A(X, kappa1=2.0, delta=0.01, theta=1e-4, seed=2)
     assert rep.k_event == 0
-    assert rep.event_a_holds == (rep.kappa1_measured <= 2.0)
+    assert rep.event_a_holds == (rep.lambda_max <= 2.0)
 
 
 def test_subgaussian_sparse_scaling_on_desk_grid():
@@ -356,3 +356,9 @@ def test_heavy_tailed_sparse_scaling_on_desk_grid():
                 val = sparse_supremum(X, k, method="greedy", restarts=8, seed=seed).value
                 ref = np.linalg.norm(X, axis=0).max() + (m * k) ** 0.25  # beta = 1
                 assert val <= SPARSE_HEAVYTAIL_C * ref
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+def test_singular_extremes_rejects_an_empty_matrix(shape):
+    with pytest.raises(ValueError, match="matrix must be nonempty"):
+        singular_extremes(np.zeros(shape))

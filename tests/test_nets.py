@@ -156,3 +156,8 @@ def test_pajor_separated_core():
 def test_pajor_validation():
     with pytest.raises(ValueError):
         pajor_subset(np.zeros((2, 2)), 0)
+
+
+def test_pajor_subset_rejects_empty_points():
+    with pytest.raises(ValueError, match="points must be nonempty"):
+        pajor_subset(np.zeros((0, 3)), 2)

@@ -5,6 +5,7 @@ import pytest
 
 from dmlab.calibration import C_CHAIN, C_SUD, CONCENTRATION_C
 from dmlab.processes import (
+    FiniteIndexSet,
     bernoulli_gaussian_ratio,
     bernoulli_lp,
     concentration_check,
@@ -40,6 +41,11 @@ def test_emp_sup_exact_errors():
         emp_sup("bernoulli", index_set(np.eye(21)), method="exactEnumeration")
     with pytest.raises(ValueError):
         emp_sup("poisson", index_set(np.eye(4)))
+    with pytest.raises(ValueError, match="^unknown method 'bogus'$"):
+        emp_sup("gaussian", index_set(np.eye(4)), method="bogus")
+    for trials in (0, -5):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            emp_sup("gaussian", index_set(np.eye(4)), trials=trials)
 
 
 def test_emp_sup_mc_matches_exact():
@@ -55,6 +61,8 @@ def test_bernoulli_lp_examples():
     assert bernoulli_lp([1, 0, 0, 0], 4) == 1.0
     assert bernoulli_lp(np.ones(16), 16) == 16.0
     assert bernoulli_lp(np.ones(16), 20) == 16.0
+    with pytest.raises(ValueError, match="p must be >= 1"):
+        bernoulli_lp([1.0, 2.0], 0)
     val = bernoulli_lp(np.ones(12), 2)
     assert val == pytest.approx(2 + math.sqrt(2) * math.sqrt(10), rel=1e-12)
 
@@ -190,3 +198,14 @@ def test_ratio_spread_vectors_bounded_below():
         signs = rng.integers(0, 2, size=(16, ell)) * 2 - 1
         T = index_set(signs / math.sqrt(ell))
         assert bernoulli_gaussian_ratio(T, trials=20000, seed=3) >= 0.5
+
+
+@pytest.mark.parametrize("vectors, match", [
+    (np.zeros((0, 3)), "nonempty"),
+    (np.zeros(3), "nonempty"),
+    (np.array([[1.0, math.nan]]), "finite"),
+    (np.array([[1.0, math.inf]]), "finite"),
+], ids=["no-rows", "one-dimensional", "nan", "inf"])
+def test_index_set_rejects_empty_and_non_finite_vectors(vectors, match):
+    with pytest.raises(ValueError, match=match):
+        FiniteIndexSet(vectors)

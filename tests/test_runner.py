@@ -1,5 +1,6 @@
 import csv
 import ctypes
+import importlib.util
 import json
 import math
 import multiprocessing
@@ -15,6 +16,7 @@ import dmlab.runner as runner_mod
 from dmlab.bodies import LpBall
 from dmlab.cli import main as cli_main
 from dmlab.distortion import measure_distortion
+from dmlab.params import SolverConstants, solve_parameters
 from dmlab.processes import TAIL_MIN_TRIALS, concentration_check, index_set
 from dmlab.runner import (
     CSV_COLUMNS,
@@ -36,7 +38,8 @@ BASE_CFG = {
     "distortionMethod": {"method": "exactSpectral"},
 }
 
-DEMO_CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+DEMO_CONFIGS = ROOT / "demos" / "configs"
 
 SANDBOX_CFG = {
     "experimentKind": "processSandbox",
@@ -122,7 +125,7 @@ def test_validation_rejects_unknown_and_bad_fields():
     ({"process": {"setSize": 0}}, "setSize"),
     ({"process": {"supTrials": 1.5}}, "supTrials"),
     ({"process": ["setDim"]}, "process must be a JSON object"),
-    ({"constants": ["rho"]}, "constants must be a JSON object"),
+    ({"constants": ["rho"]}, "processSandbox takes no constants"),
     ({"trials": True}, "trials"),
     ({"masterSeed": False}, "masterSeed"),
     ({"distortionMethod": {"method": "exactSpectral"}}, "takes no distortionMethod"),
@@ -140,6 +143,8 @@ def test_validation_rejects_event_gaps():
         parse_config({**cfg, "distortionMethod": {"method": "exactSpectral"}})
     with pytest.raises(ConfigError, match="constants must be numbers"):
         parse_config({**cfg, "constants": {"theta": "0.05", "delta": 0.2}})
+    with pytest.raises(ConfigError, match="constants must be a JSON object"):
+        parse_config({**cfg, "constants": ["rho"]})
     with pytest.raises(ConfigError, match="dRule.d"):
         parse_config({**cfg, "dRule": {"rule": "fixed", "d": True}})
 
@@ -194,6 +199,47 @@ _EVENT_SOLVED = {**_EVENT_GIVEN, "constants": {"rho": 0.25, "q": 6.0, "kappa1": 
 def test_validation_rejects_bad_event_constants(cfg, change, match):
     with pytest.raises(ConfigError, match=match):
         parse_config({**cfg, "constants": {**cfg["constants"], **change}})
+
+
+_PRODUCT_CFG = KIND_CFGS["productUniform"]
+
+
+@pytest.mark.parametrize("cfg, section, change", [
+    (_EVENT_SOLVED, "constants", {"kappa1": math.nan}),
+    (_EVENT_SOLVED, "constants", {"c2": math.nan}),
+    (_EVENT_SOLVED, "constants", {"q": math.inf}),
+    (_EVENT_SOLVED, "constants", {"kappa1": math.inf}),
+    (_EVENT_SOLVED, "constants", {"c1": math.inf}),
+    (_EVENT_SOLVED, "constants", {"c2": math.inf}),
+    (_EVENT_GIVEN, "constants", {"kappa1": math.inf}),
+    (_PRODUCT_CFG, "dRule", {"c": math.inf}),
+    (_PRODUCT_CFG, "mRule", {"c": math.inf}),
+    (KIND_CFGS["productHeavyTailed"], "dRule", {"c": math.inf}),
+], ids=["kappa1-nan", "c2-nan", "q-inf", "kappa1-inf", "c1-inf", "c2-inf", "given-kappa1-inf",
+        "logN-inf", "multipleOfN-inf", "fractionOfDStar-inf"])
+def test_non_finite_config_numbers_are_rejected(cfg, section, change):
+    with pytest.raises(ConfigError, match="finite"):
+        parse_config({**cfg, section: {**cfg[section], **change}})
+
+
+def test_cli_rejects_an_infinite_rule_constant_with_exit_2(tmp_path):
+    # json writes and reads Infinity; the derived d would overflow in the sweep.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**_PRODUCT_CFG, "dRule": {"rule": "logN", "c": math.inf}}))
+    assert "Infinity" in path.read_text()
+    assert cli_main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_unsatisfiable_theta_is_rejected():
+    constants = {**_EVENT_SOLVED["constants"], "q": 2.1, "c2": 1e-4}
+    sol = solve_parameters(0.25, 2.1, 1.0, 1, SolverConstants(c2=1e-4))
+    assert sol.reason == "theta-constraint unsatisfiable"
+    with pytest.raises(ConfigError, match="^constants: theta-constraint unsatisfiable$"):
+        parse_config({**_EVENT_SOLVED, "constants": constants})
+    # The dummy dStar = 1 makes every solution infeasible through d; that is not rejected.
+    assert solve_parameters(0.25, 6.0, 1.0, 1).reason == "d<1"
+    assert parse_config(_EVENT_SOLVED).event is not None
 
 
 def test_cli_rejects_bad_event_constants_with_exit_2(tmp_path):
@@ -687,3 +733,52 @@ def test_demo_configs_run_through_cli(tmp_path, capsys):
     assert cli_main(["diag", str(DEMO_CONFIGS / "uniform_ensemble.json"),
                      "--trials", "1000"]) == 0
     assert json.loads(capsys.readouterr().out)["trials"] == 1000
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "UniformPM1", "rows": 4, "cols": 8, "seed": 1},
+    {"kind": "UniformPM1", "rows": 4, "cols": 8, "vectorAxis": "diagonal"},
+], ids=["unknown-field", "bad-vectorAxis"])
+def test_cli_diag_rejects_bad_specs_with_exit_2(spec, tmp_path, capsys):
+    path = tmp_path / "ens.json"
+    path.write_text(json.dumps(spec))
+    assert cli_main(["diag", str(path), "--trials", "1000"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_diag_writes_its_out_file(tmp_path, capsys):
+    out = tmp_path / "diag.json"
+    assert cli_main(["diag", str(DEMO_CONFIGS / "uniform_ensemble.json"),
+                     "--trials", "1000", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    assert json.loads(out.read_text())["trials"] == 1000
+
+
+def _load(path: Path):
+    spec = importlib.util.spec_from_file_location(f"_committed_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# Every experiment config committed to the repository, by origin and name.
+_ACCEPTANCE = _load(ROOT / "tests" / "test_acceptance.py").CONFIGS
+_WORKLOADS = _load(ROOT / "perfbench" / "workloads.py").WORKLOADS
+COMMITTED_CFGS = {
+    **{f"acceptance-{name}": cfg for name, cfg in _ACCEPTANCE.items()},
+    **{f"perfbench-{name}": cfg for name, cfg in _WORKLOADS.items()},
+    "demo-gaussian_sanity": json.loads((DEMO_CONFIGS / "gaussian_sanity.json").read_text()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMITTED_CFGS))
+def test_committed_configs_parse_and_resolve_their_sections(name):
+    cfg = COMMITTED_CFGS[name]
+    config = parse_config(cfg)
+    kind = runner_mod._KINDS[config.experiment_kind]
+    sections = set(cfg) & set(runner_mod._SECTIONS)
+    assert set(kind.needs) <= sections <= set(kind.needs + kind.takes)
+    assert len(config.bodies) == (len(cfg["schedule"]) if "body" in kind.needs else 0)
+    assert (config.distortion is not None) == ("distortionMethod" in cfg)
+    assert (config.event is not None) == ("constants" in kind.takes)
+    assert config.process.keys() == runner_mod._PROCESS_DEFAULTS.keys()
