@@ -54,14 +54,13 @@ def _cmd_plot(args) -> int:
 
 def _cmd_diag(args) -> int:
     raw = _load_json(args.ensemble)
-    allowed = {"kind", "rows", "cols", "rowScale", "vectorAxis", "q"}
+    allowed = {"kind", "rows", "cols", "vectorAxis", "q"}
     unknown = set(raw) - allowed
     if unknown:
         raise ConfigError(f"unknown fields in ensemble spec: {sorted(unknown)}")
     try:
-        spec = EnsembleSpec(
-            kind=raw.get("kind"), rows=raw.get("rows", 1), cols=raw.get("cols", 1),
-            row_scale=raw.get("rowScale"), vector_axis=raw.get("vectorAxis", "rows"))
+        spec = EnsembleSpec(kind=raw.get("kind"), rows=raw.get("rows", 1), cols=raw.get("cols", 1),
+                            vector_axis=raw.get("vectorAxis", "rows"))
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     diag = marginal_diagnostics(spec, probe_directions=args.probes,

@@ -1,8 +1,9 @@
 """Distortion of x -> ||Gamma x||_K over the unit sphere of R^d.
 
 Four estimators, each labeled in the report so downstream comparisons never
-mix certified and heuristic numbers.  The two exact ones need the LpBall p
-that `EXACT_METHOD_P` names, the one table the config parser checks too:
+mix certified and heuristic numbers.  The table `METHODS` gives each one's
+row: the LpBall p it needs (the two exact ones need one) and the config
+fields it reads.  The config parser reads the same table.
 
   exactSpectral  LpBall(2, n) bodies; the extremes are the singular values.
   exactRowNorm   LpBall(inf, n) bodies; the supremum equals the largest row
@@ -39,8 +40,14 @@ from dmlab.seeding import child_seed
 _PHI_FLOOR = 1e-300
 _OPT_ITERS = 500  # iteration cap of each multi-start descent in measure_distortion
 
-# The LpBall p that each exact method needs.
-EXACT_METHOD_P = {"exactSpectral": 2.0, "exactRowNorm": math.inf}
+# method -> (the LpBall p it needs, or None for any body; the distortionMethod
+# fields it reads besides `method`).
+METHODS = {
+    "exactSpectral": (2.0, ()),
+    "exactRowNorm": (math.inf, ("starts",)),
+    "netCertified": (None, ("rho", "candidateBudget")),
+    "multiStartOpt": (None, ("starts",)),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,7 +114,9 @@ def measure_distortion(
     n, d = gamma.shape
     if body.n != n:
         raise ValueError(f"body dimension {body.n} does not match Gamma rows {n}")
-    need_p = EXACT_METHOD_P.get(method)
+    if method not in METHODS:
+        raise ValueError(f"unknown distortion method {method!r}")
+    need_p = METHODS[method][0]
     if need_p is not None and not (isinstance(body, LpBall) and body.p == need_p):
         raise ValueError(f"{method} requires an LpBall({need_p:g}, n) body")
 
@@ -126,7 +135,7 @@ def measure_distortion(
             sup_est = _multistart(body, gamma, starts, child_seed(seed, 0), +1)
         inf_est = _multistart(body, gamma, starts, child_seed(seed, 1), -1)
 
-    elif method == "netCertified":
+    else:  # netCertified
         if net is None:
             raise ValueError("netCertified requires a sphere net")
         if net.dim != d:
@@ -142,9 +151,6 @@ def measure_distortion(
         inf_est = net_min - slack
         sup_method = inf_method = f"netCertified(rho={net.rho:g},size={net.size})"
         extras.update(net_max=net_max, net_min=net_min, lipschitz_slack=slack)
-
-    else:
-        raise ValueError(f"unknown distortion method {method!r}")
 
     ratio = sup_est / inf_est if inf_est > 0.0 else math.inf
     return DistortionReport(sup_est=sup_est, inf_est=inf_est, sup_method=sup_method,

@@ -14,8 +14,9 @@ are isotropic (identity covariance per vector copy):
   HeavyTailedBounded iid unit-variance Student-t (12 dof) coordinates, the
                      whole vector resampled while ||X||_2 > 100 sqrt(dim)
 
-Entry-level kinds fill the matrix directly.  Vector-level kinds (spherical,
-simplex, heavy-tailed) draw iid vector copies along `vector_axis`.
+Each law is one row of the table `_LAWS`: whether it draws vector copies, and
+its draw.  Entry-level kinds fill the matrix directly.  Vector-level kinds
+(spherical, simplex, heavy-tailed) draw iid vector copies along `vector_axis`.
 
 `sample_product` draws the m x n row factor in row blocks and adds each
 block's share to Gamma, so its memory is O(block + n d + d m), not O(m n).
@@ -24,22 +25,14 @@ block's share to Gamma, so its memory is O(block + n d + d m), not O(m n).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import numbers
+import sys
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from dmlab.calibration import PAOURIS_C1
 from dmlab.seeding import child_seed
-
-KINDS = (
-    "GaussianIID",
-    "SphericalRows",
-    "UniformPM1",
-    "UniformIsotropic",
-    "RademacherIID",
-    "LogConcaveSimplex",
-    "HeavyTailedBounded",
-)
 
 _T_DOF = 12
 _T_SCALE = 1.0 / math.sqrt(_T_DOF / (_T_DOF - 2.0))  # unit variance
@@ -57,7 +50,6 @@ class EnsembleSpec:
     kind: str
     rows: int
     cols: int
-    row_scale: float | None = None
     vector_axis: str = "rows"  # axis that indexes iid vector copies
 
     def __post_init__(self):
@@ -73,10 +65,6 @@ class EnsembleSpec:
     @property
     def vector_dim(self) -> int:
         return self.cols if self.vector_axis == "rows" else self.rows
-
-    @property
-    def n_vectors(self) -> int:
-        return self.rows if self.vector_axis == "rows" else self.cols
 
 
 def _simplex_ball_vectors(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
@@ -99,13 +87,25 @@ def _heavy_tailed_vectors(rng: np.random.Generator, count: int, dim: int) -> np.
         V[bad] = _T_SCALE * rng.standard_t(_T_DOF, size=(bad.size, dim))
 
 
-def _sample_vectors(kind: str, rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    if kind == "SphericalRows":
-        G = rng.standard_normal((count, dim))
-        return math.sqrt(dim) * G / np.linalg.norm(G, axis=1, keepdims=True)
-    if kind == "LogConcaveSimplex":
-        return _simplex_ball_vectors(rng, count, dim)
-    return _heavy_tailed_vectors(rng, count, dim)  # HeavyTailedBounded
+def _spherical_vectors(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    G = rng.standard_normal((count, dim))
+    return math.sqrt(dim) * G / np.linalg.norm(G, axis=1, keepdims=True)
+
+
+# law -> (whether it draws vector copies, its draw (Generator, rows, cols) -> matrix).
+# A vector law draws `rows` copies of dimension `cols`; an entry law fills the
+# matrix row by row.
+_LAWS = {
+    "GaussianIID": (False, lambda g, r, c: g.standard_normal((r, c))),
+    "SphericalRows": (True, _spherical_vectors),
+    "UniformPM1": (False, lambda g, r, c: g.uniform(-1.0, 1.0, (r, c))),
+    "UniformIsotropic": (False, lambda g, r, c: math.sqrt(3.0) * g.uniform(-1.0, 1.0, (r, c))),
+    "RademacherIID": (False, lambda g, r, c:
+                      (g.integers(0, 2, size=(r, c)) * 2 - 1).astype(float)),
+    "LogConcaveSimplex": (True, _simplex_ball_vectors),
+    "HeavyTailedBounded": (True, _heavy_tailed_vectors),
+}
+KINDS = tuple(_LAWS)
 
 
 def sample_matrix(spec: EnsembleSpec, seed: int | np.random.Generator) -> np.ndarray:
@@ -122,21 +122,10 @@ def sample_matrix(spec: EnsembleSpec, seed: int | np.random.Generator) -> np.nda
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer, np.random.Generator)):
         raise TypeError(f"seed must be an int or a numpy Generator, got {type(seed).__name__}")
     rng = np.random.default_rng(seed)
-    shape = (spec.rows, spec.cols)
-    if spec.kind == "GaussianIID":
-        M = rng.standard_normal(shape)
-    elif spec.kind == "UniformPM1":
-        M = rng.uniform(-1.0, 1.0, shape)
-    elif spec.kind == "UniformIsotropic":
-        M = math.sqrt(3.0) * rng.uniform(-1.0, 1.0, shape)
-    elif spec.kind == "RademacherIID":
-        M = (rng.integers(0, 2, size=shape) * 2 - 1).astype(float)
-    else:
-        V = _sample_vectors(spec.kind, rng, spec.n_vectors, spec.vector_dim)
-        M = V if spec.vector_axis == "rows" else V.T
-    if spec.row_scale is not None:
-        M = M * spec.row_scale
-    return M
+    vectors, draw = _LAWS[spec.kind]
+    if not vectors or spec.vector_axis == "rows":
+        return draw(rng, spec.rows, spec.cols)
+    return draw(rng, spec.cols, spec.rows).T
 
 
 @dataclass(frozen=True)
@@ -158,8 +147,6 @@ class ProductEnsembleSpec:
             raise ValueError("factor shapes must share the intermediate dimension m")
         if self.row_spec.vector_axis != "rows" or self.col_spec.vector_axis != "cols":
             raise ValueError("row factor must hold vectors in rows, column factor in columns")
-        if self.row_spec.row_scale is not None:
-            raise ValueError("row factor scaling is applied by sample_product; leave row_scale unset")
 
     @property
     def n(self) -> int:
@@ -238,10 +225,10 @@ def marginal_diagnostics(
         raise ValueError("diagnostics need trials >= 1000")
     if probe_directions < 1:
         raise ValueError("need at least one probe direction")
+    if isinstance(q, bool) or not isinstance(q, numbers.Real) or not 1 <= q <= sys.float_info.max:
+        raise ValueError(f"q must be a finite real number >= 1, got {q!r}")
     dim = spec.vector_dim
-    draw = EnsembleSpec(spec.kind, rows=trials, cols=dim,
-                        row_scale=spec.row_scale, vector_axis="rows")
-    Y = sample_matrix(draw, seed)
+    Y = sample_matrix(EnsembleSpec(spec.kind, rows=trials, cols=dim), seed)
 
     rng = np.random.default_rng(child_seed(seed, 1))
     P = rng.standard_normal((dim, probe_directions))

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dmlab.calibration import C_SUD, CONCENTRATION_C
+from dmlab.ensembles import EnsembleSpec, sample_matrix
 from dmlab.nets import farthest_first
 from dmlab.seeding import child_seed, mc_chunks, mc_mean
 
@@ -31,8 +32,8 @@ class FiniteIndexSet:
 
     def __post_init__(self):
         V = self.vectors
-        if V.ndim != 2 or V.shape[0] == 0:
-            raise ValueError("index set must be a nonempty (size, ell) array")
+        if V.ndim != 2 or V.size == 0:
+            raise ValueError("index set must be a nonempty (size, ell) array with ell >= 1")
         if not np.all(np.isfinite(V)):
             raise ValueError("index set entries must be finite")
 
@@ -59,9 +60,8 @@ class ProcessEstimate:
 
 def _coefficients(kind: str, rng: np.random.Generator, ell: int):
     """Sampler of `count` gaussian or sign coefficient vectors of length ell."""
-    if kind == "gaussian":
-        return lambda count: rng.standard_normal((count, ell))
-    return lambda count: (rng.integers(0, 2, size=(count, ell)) * 2 - 1).astype(float)
+    law = "GaussianIID" if kind == "gaussian" else "RademacherIID"
+    return lambda count: sample_matrix(EnsembleSpec(law, count, ell), rng)
 
 
 def _sign_block(start: int, count: int, ell: int) -> np.ndarray:

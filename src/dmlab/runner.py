@@ -16,8 +16,8 @@ method, event A's constants, the process sizes and the experiment id.  Every
 trial draws its own seed from the master seed and the global trial index, so
 sweeps are embarrassingly parallel: they run in forked worker processes (see
 `run_experiment`), and the ordered reduction reproduces the CSV and the JSON
-summary byte for byte at any worker count (per-trial wall time is recorded
-only when `recordTiming` is set, since real timings break byte-identity).
+summary byte for byte at any worker count.  The distortion methods, the
+fields each reads and the LpBall each needs come from `distortion.METHODS`.
 
 Outputs: one RFC-4180 CSV row per trial (floats at 17 significant digits,
 failures recorded in an error column instead of aborting the sweep) and a
@@ -35,8 +35,7 @@ import json
 import math
 import os
 import sys
-import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -45,7 +44,7 @@ import numpy as np
 
 from dmlab.bodies import LpBall, dual_norm_sup, mean_width_auto, polar_polytope
 from dmlab.calibration import CONCENTRATION_C, calibration_block
-from dmlab.distortion import EXACT_METHOD_P, adversarial_linf_witness, measure_distortion
+from dmlab.distortion import METHODS, adversarial_linf_witness, measure_distortion
 from dmlab.ensembles import KINDS as ENSEMBLE_KINDS
 from dmlab.ensembles import EnsembleSpec, product_spec, sample_matrix, sample_product
 from dmlab.events import check_event_A, check_event_constants
@@ -61,14 +60,13 @@ class ConfigError(ValueError):
 
 CSV_COLUMNS = (
     "experimentId", "n", "d", "m", "seed", "trialIndex", "supEst", "infEst",
-    "ratio", "ellK", "dStar", "eventAHolds", "witnessRatio", "elapsedMs",
-    "methodTags", "error",
+    "ratio", "ellK", "dStar", "eventAHolds", "witnessRatio", "methodTags", "error",
 )
 
 # The config sections that each kind needs or takes (`_Kind.needs`, `_Kind.takes`).
 _SECTIONS = ("body", "dRule", "mRule", "distortionMethod", "constants", "process")
 _TOP_KEYS = {"experimentKind", "ensembles", "schedule", "trials", "masterSeed", "outputs",
-             "recordTiming", *_SECTIONS}
+             *_SECTIONS}
 
 _PROCESS_DEFAULTS = {"setSize": 32, "setDim": 16, "innerTrials": 10_000, "supTrials": 2000}
 _EVENT_DEFAULTS = {"kappa1": 2.0, "restarts": 20, "rho": 0.25, "q": 6.0}
@@ -121,13 +119,19 @@ _M_RULES = {
 }
 
 
-def _check_rule(cfg: dict, name: str, rules: dict, schedule_len: int) -> None:
+def _check_rule(cfg: dict, name: str, rules: dict, schedule: list) -> None:
     spec = cfg.get(name)
     _expect_keys(spec, {"rule", *(r.field for r in rules.values())}, name)
     rule = rules.get(spec.get("rule")) if isinstance(spec.get("rule"), str) else None
     _require(rule is not None, f"{name}.rule must be {' | '.join(rules)}")
-    _require(rule.check(spec.get(rule.field), schedule_len),
+    _require(rule.check(spec.get(rule.field), len(schedule)),
              f"{name}.{rule.field} must be {rule.want} for rule {spec['rule']}")
+    # d* <= n, as ell(K) <= sqrt(n) b(K); 2n leaves room for a Monte-Carlo ell(K).
+    for i, n in enumerate(schedule):
+        try:
+            rule.derive(spec, i, n, 2.0 * n)
+        except OverflowError:
+            raise ConfigError(f"{name}.{rule.field} gives no finite {name[0]} at n={n}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,7 +142,6 @@ class ExperimentConfig:
     schedule: tuple
     trials: int
     master_seed: int
-    record_timing: bool
     bodies: tuple                   # one body per schedule entry; () for processSandbox
     laws: dict                      # ensemble slot -> law, defaults filled in
     distortion: dict | None         # distortionMethod, `starts` defaulted to 32
@@ -171,9 +174,6 @@ def parse_config(cfg: dict) -> ExperimentConfig:
     seed = cfg.get("masterSeed", 0)
     _require(_is_int(seed, 0), "masterSeed must be a nonnegative integer")
 
-    record_timing = cfg.get("recordTiming", False)
-    _require(isinstance(record_timing, bool), "recordTiming must be a boolean")
-
     bodies = ()
     if "body" in cfg:
         body = cfg["body"]
@@ -184,7 +184,7 @@ def parse_config(cfg: dict) -> ExperimentConfig:
         bodies = build(body.get(field), schedule)
     for section, rules in (("dRule", _D_RULES), ("mRule", _M_RULES)):
         if section in cfg:
-            _check_rule(cfg, section, rules, len(schedule))
+            _check_rule(cfg, section, rules, schedule)
 
     ens = cfg.get("ensembles", {})
     _expect_keys(ens, set(kind.laws), "ensembles")
@@ -197,7 +197,7 @@ def parse_config(cfg: dict) -> ExperimentConfig:
         method = dist.get("method") if isinstance(dist, dict) else None
         _require(method in kind.methods,
                  f"{name} supports the distortion methods {' | '.join(kind.methods)}")
-        _expect_keys(dist, {"method", *_METHOD_KEYS[method]}, f"distortionMethod {method}")
+        _expect_keys(dist, {"method", *METHODS[method][1]}, f"distortionMethod {method}")
         _require(_is_int(dist.get("starts", 1)), "distortionMethod.starts must be an integer >= 1")
         if method == "netCertified":
             _require(_is_num(dist.get("rho")) and 0 < dist["rho"] < 0.5,
@@ -206,11 +206,10 @@ def parse_config(cfg: dict) -> ExperimentConfig:
                      "infimum would be <= 0")
             _require(_is_int(dist.get("candidateBudget")), "netCertified needs a candidateBudget")
         distortion = {"starts": 32, **dist}
-    need_p = EXACT_METHOD_P.get(method, kind.lp)
+    need_p = METHODS[method][0] if method else kind.lp
     if need_p is not None:
         _require(isinstance(bodies[0], LpBall) and bodies[0].p == need_p,
-                 f"{method if method in EXACT_METHOD_P else name} "
-                 f"requires body LpBall({need_p:g}, n)")
+                 f"{method or name} requires body LpBall({need_p:g}, n)")
 
     event = None
     if "constants" in kind.takes:  # the event kind solves its constants even when none are given
@@ -246,9 +245,9 @@ def parse_config(cfg: dict) -> ExperimentConfig:
     digest = hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:12]
     return ExperimentConfig(
         raw=cfg, experiment_kind=name, experiment_id=f"{name}-{digest}",
-        schedule=tuple(schedule), trials=trials, master_seed=seed,
-        record_timing=record_timing, bodies=bodies, laws={**kind.laws, **ens},
-        distortion=distortion, event=event, process={**_PROCESS_DEFAULTS, **process},
+        schedule=tuple(schedule), trials=trials, master_seed=seed, bodies=bodies,
+        laws={**kind.laws, **ens}, distortion=distortion, event=event,
+        process={**_PROCESS_DEFAULTS, **process},
     )
 
 
@@ -302,7 +301,6 @@ class TrialRecord:
     d_star: float | None = None
     event_a_holds: bool | None = None
     witness_ratio: float | None = None
-    elapsed_ms: float = -1.0
     method_tags: str = ""
     error: str = ""
     tail: object = None             # processSandbox: the trial's TailTable (not in the CSV)
@@ -404,11 +402,6 @@ def _sandbox_trial(config, ctx, seed) -> dict:
                 method_tags="sup=empSupGaussianMC;inf=sudakovLower", tail=tail)
 
 
-# The distortionMethod fields that each method reads, besides `method`.
-_METHOD_KEYS = {"exactSpectral": (), "exactRowNorm": ("starts",),
-                "netCertified": ("rho", "candidateBudget"), "multiStartOpt": ("starts",)}
-
-
 @dataclass(frozen=True)
 class _Kind:
     """One experiment kind: its trial function and the config sections it reads."""
@@ -418,7 +411,7 @@ class _Kind:
     needs: tuple                # the sections a config must carry
     takes: tuple = ()           # the sections it may also carry; any other is rejected
     lp: float | None = None     # the LpBall p the body must have, if any
-    methods: tuple = tuple(_METHOD_KEYS)  # allowed distortionMethod.method values
+    methods: tuple = tuple(METHODS)  # allowed distortionMethod.method values
 
 
 _KINDS = {
@@ -443,15 +436,11 @@ def _safe_trial(config: ExperimentConfig, ctx: _ScheduleContext,
                 trial_index: int, seed: int) -> TrialRecord:
     base = dict(experiment_id=config.experiment_id, n=ctx.n, d=ctx.d, m=ctx.m,
                 seed=seed, trial_index=trial_index)
-    t0 = time.perf_counter()
     try:
-        rec = TrialRecord(**base, ell_k=ctx.ell_k, d_star=ctx.d_star,
-                          **_KINDS[config.experiment_kind].trial(config, ctx, seed))
+        return TrialRecord(**base, ell_k=ctx.ell_k, d_star=ctx.d_star,
+                           **_KINDS[config.experiment_kind].trial(config, ctx, seed))
     except Exception as exc:  # per-trial failures become rows, never aborts
-        rec = TrialRecord(**base, error=f"{type(exc).__name__}: {exc}")
-    if config.record_timing:
-        rec = replace(rec, elapsed_ms=(time.perf_counter() - t0) * 1e3)
-    return rec
+        return TrialRecord(**base, error=f"{type(exc).__name__}: {exc}")
 
 
 # Symbol prefix and suffix of the OpenBLAS builds in numpy's wheels (numpy >= 2, then 1.x).

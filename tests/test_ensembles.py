@@ -60,9 +60,55 @@ def test_spherical_rows_radius():
     assert np.allclose(np.linalg.norm(M, axis=1), 3.0)
 
 
-def test_row_scale_applied_last():
-    spec = EnsembleSpec("RademacherIID", 5, 5, row_scale=0.25)
-    assert set(np.unique(sample_matrix(spec, 0))) == {-0.25, 0.25}
+def _reference_vectors(kind, rng, count, dim):
+    """The vector laws' draws, written out apart from the law table."""
+    if kind == "SphericalRows":
+        G = rng.standard_normal((count, dim))
+        return math.sqrt(dim) * G / np.linalg.norm(G, axis=1, keepdims=True)
+    if kind == "LogConcaveSimplex":
+        E = rng.standard_exponential((count, dim + 1))
+        simplex = E[:, :dim] / E.sum(axis=1, keepdims=True)
+        signs = rng.integers(0, 2, size=(count, dim)) * 2 - 1
+        return math.sqrt((dim + 1) * (dim + 2) / 2.0) * signs * simplex
+    scale = 1.0 / math.sqrt(12 / 10.0)  # HeavyTailedBounded: unit-variance t_12, capped
+    V = scale * rng.standard_t(12, size=(count, dim))
+    while True:
+        bad = np.flatnonzero(np.linalg.norm(V, axis=1) > 100.0 * math.sqrt(dim))
+        if bad.size == 0:
+            return V
+        V[bad] = scale * rng.standard_t(12, size=(bad.size, dim))
+
+
+def _reference_matrix(kind, rng, rows, cols, vector_axis):
+    """One draw of each law, written out apart from the law table."""
+    shape = (rows, cols)
+    if kind == "GaussianIID":
+        return rng.standard_normal(shape)
+    if kind == "UniformPM1":
+        return rng.uniform(-1.0, 1.0, shape)
+    if kind == "UniformIsotropic":
+        return math.sqrt(3.0) * rng.uniform(-1.0, 1.0, shape)
+    if kind == "RademacherIID":
+        return (rng.integers(0, 2, size=shape) * 2 - 1).astype(float)
+    if vector_axis == "rows":
+        return _reference_vectors(kind, rng, rows, cols)
+    return _reference_vectors(kind, rng, cols, rows).T
+
+
+@pytest.mark.parametrize("vector_axis", ["rows", "cols"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_law_table_draws_the_reference_laws(kind, vector_axis):
+    assert len(KINDS) == 7
+    spec = EnsembleSpec(kind, 9, 5, vector_axis=vector_axis)
+    want = _reference_matrix(kind, np.random.default_rng(17), 9, 5, vector_axis)
+    assert np.array_equal(sample_matrix(spec, 17), want)
+    rng = np.random.default_rng(17)
+    rng.standard_normal(3)  # a Generator is drawn from as it stands
+    got = sample_matrix(spec, rng)
+    ref = np.random.default_rng(17)
+    ref.standard_normal(3)
+    assert np.array_equal(got, _reference_matrix(kind, ref, 9, 5, vector_axis))
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_vector_axis_transposes_vector_kinds():
@@ -252,6 +298,13 @@ def test_diagnostics_preconditions():
         marginal_diagnostics(spec, probe_directions=4, trials=500, seed=0)
     with pytest.raises(ValueError):
         marginal_diagnostics(spec, probe_directions=0, trials=2000, seed=0)
+
+
+@pytest.mark.parametrize("q", ["x", math.nan, -1, 0.5, True, math.inf])
+def test_diagnostics_reject_a_bad_q(q):
+    spec = EnsembleSpec("GaussianIID", 4, 8)
+    with pytest.raises(ValueError, match="q must be a finite real number >= 1"):
+        marginal_diagnostics(spec, probe_directions=4, trials=1000, seed=0, q=q)
 
 
 @pytest.mark.parametrize("master, index", [(-1, 0), (0, -1)])

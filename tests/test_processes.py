@@ -6,6 +6,7 @@ import pytest
 from dmlab.calibration import C_CHAIN, C_SUD, CONCENTRATION_C
 from dmlab.processes import (
     FiniteIndexSet,
+    _coefficients,
     bernoulli_gaussian_ratio,
     bernoulli_lp,
     concentration_check,
@@ -209,3 +210,22 @@ def test_ratio_spread_vectors_bounded_below():
 def test_index_set_rejects_empty_and_non_finite_vectors(vectors, match):
     with pytest.raises(ValueError, match=match):
         FiniteIndexSet(vectors)
+
+
+@pytest.mark.parametrize("vectors", [[], np.empty((3, 0))], ids=["empty-list", "no-columns"])
+def test_index_set_rejects_vectors_in_R0(vectors):
+    # np.atleast_2d turns [] into one row of length 0, a point of R^0.
+    with pytest.raises(ValueError, match="ell >= 1"):
+        index_set(vectors)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "bernoulli"])
+def test_coefficients_are_the_gaussian_and_sign_laws(kind):
+    draw = _coefficients(kind, np.random.default_rng(4), 5)
+    got = np.concatenate([draw(3), draw(7)])
+    rng = np.random.default_rng(4)
+    if kind == "gaussian":
+        want = [rng.standard_normal((3, 5)), rng.standard_normal((7, 5))]
+    else:
+        want = [(rng.integers(0, 2, size=(c, 5)) * 2 - 1).astype(float) for c in (3, 7)]
+    assert np.array_equal(got, np.concatenate(want))

@@ -222,6 +222,23 @@ def test_non_finite_config_numbers_are_rejected(cfg, section, change):
         parse_config({**cfg, section: {**cfg[section], **change}})
 
 
+@pytest.mark.parametrize("cfg, section", [
+    (_PRODUCT_CFG, "dRule"), (_PRODUCT_CFG, "mRule"), (KIND_CFGS["productHeavyTailed"], "dRule"),
+], ids=["logN", "multipleOfN", "fractionOfDStar"])
+def test_rule_constants_that_overflow_d_or_m_are_rejected(cfg, section):
+    # Finite, but c * log n, c * n and c * dStar overflow to infinity.
+    with pytest.raises(ConfigError, match=rf"^{section}.c gives no finite {section[0]} at n=32$"):
+        parse_config({**cfg, section: {**cfg[section], "c": 1e308}})
+    parse_config({**cfg, section: {**cfg[section], "c": 1e300}})
+
+
+def test_cli_rejects_an_overflowing_rule_constant_with_exit_2(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**_PRODUCT_CFG, "dRule": {"rule": "logN", "c": 1e308}}))
+    assert cli_main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_rejects_an_infinite_rule_constant_with_exit_2(tmp_path):
     # json writes and reads Infinity; the derived d would overflow in the sweep.
     path = tmp_path / "cfg.json"
@@ -391,7 +408,6 @@ def test_csv_format(tmp_path):
     assert len(rows) == 1 + BASE_CFG["trials"]
     sup = rows[1][CSV_COLUMNS.index("supEst")]
     assert len(sup.split(".")[-1]) >= 10  # 17 significant digits serialized
-    assert rows[1][CSV_COLUMNS.index("elapsedMs")] == "-1"
     assert rows[1][CSV_COLUMNS.index("methodTags")] == "sup=exactSpectral;inf=exactSpectral"
 
 
@@ -404,12 +420,11 @@ def test_summary_self_consistency(tmp_path):
     assert entry["n"] == 64 and entry["d"] == 8 and entry["trials"] == 5
 
 
-def test_record_timing_opt_in(tmp_path):
-    cfg = {**BASE_CFG, "recordTiming": True}
-    res = run_experiment(cfg, out_dir=tmp_path)
-    with res.csv_path.open(newline="", encoding="utf-8") as f:
-        rows = list(csv.DictReader(f))
-    assert all(float(r["elapsedMs"]) >= 0.0 for r in rows)
+def test_cli_rejects_record_timing_with_exit_2(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**BASE_CFG, "recordTiming": True}))
+    assert cli_main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_trial_failures_become_rows(tmp_path, monkeypatch):
@@ -738,7 +753,11 @@ def test_demo_configs_run_through_cli(tmp_path, capsys):
 @pytest.mark.parametrize("spec", [
     {"kind": "UniformPM1", "rows": 4, "cols": 8, "seed": 1},
     {"kind": "UniformPM1", "rows": 4, "cols": 8, "vectorAxis": "diagonal"},
-], ids=["unknown-field", "bad-vectorAxis"])
+    {"kind": "UniformPM1", "rows": 4, "cols": 8, "rowScale": 0.5},
+    {"kind": "UniformPM1", "rows": 4, "cols": 8, "q": "x"},
+    {"kind": "UniformPM1", "rows": 4, "cols": 8, "q": math.nan},
+    {"kind": "UniformPM1", "rows": 4, "cols": 8, "q": -1},
+], ids=["unknown-field", "bad-vectorAxis", "rowScale", "q-string", "q-nan", "q-negative"])
 def test_cli_diag_rejects_bad_specs_with_exit_2(spec, tmp_path, capsys):
     path = tmp_path / "ens.json"
     path.write_text(json.dumps(spec))
