@@ -8,7 +8,7 @@ are isotropic (identity covariance per vector copy):
   UniformPM1         iid uniform on [-1, 1]; variance 1/3, deliberately kept
                      unscaled so single-matrix experiments use the raw law
   UniformIsotropic   sqrt(3) * uniform[-1, 1]; unit variance
-  RademacherIID      iid signs
+  RademacherIID      iid signs, each the top bit of one 32-bit draw
   LogConcaveSimplex  vector copies uniform on r * B_1^dim with
                      r = sqrt((dim+1)(dim+2)/2), the isotropic scaling
   HeavyTailedBounded iid unit-variance Student-t (12 dof) coordinates, the
@@ -72,7 +72,7 @@ def _simplex_ball_vectors(rng: np.random.Generator, count: int, dim: int) -> np.
     # random signs spread it over B_1^dim, then the isotropic radius is applied.
     E = rng.standard_exponential((count, dim + 1))
     simplex = E[:, :dim] / E.sum(axis=1, keepdims=True)
-    signs = rng.integers(0, 2, size=(count, dim)) * 2 - 1
+    signs = _signs(rng, count, dim)
     radius = math.sqrt((dim + 1) * (dim + 2) / 2.0)
     return radius * signs * simplex
 
@@ -92,6 +92,14 @@ def _spherical_vectors(rng: np.random.Generator, count: int, dim: int) -> np.nda
     return math.sqrt(dim) * G / np.linalg.norm(G, axis=1, keepdims=True)
 
 
+def _signs(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    bits = rng.integers(0, 2**32, (rows, cols), dtype=np.uint32)
+    bits >>= 31  # the bit that integers(0, 2) returns, without rejection
+    signs = bits * 2.0
+    signs -= 1.0
+    return signs
+
+
 # law -> (whether it draws vector copies, its draw (Generator, rows, cols) -> matrix).
 # A vector law draws `rows` copies of dimension `cols`; an entry law fills the
 # matrix row by row.
@@ -100,8 +108,7 @@ _LAWS = {
     "SphericalRows": (True, _spherical_vectors),
     "UniformPM1": (False, lambda g, r, c: g.uniform(-1.0, 1.0, (r, c))),
     "UniformIsotropic": (False, lambda g, r, c: math.sqrt(3.0) * g.uniform(-1.0, 1.0, (r, c))),
-    "RademacherIID": (False, lambda g, r, c:
-                      (g.integers(0, 2, size=(r, c)) * 2 - 1).astype(float)),
+    "RademacherIID": (False, _signs),
     "LogConcaveSimplex": (True, _simplex_ball_vectors),
     "HeavyTailedBounded": (True, _heavy_tailed_vectors),
 }

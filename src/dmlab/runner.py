@@ -119,19 +119,21 @@ _M_RULES = {
 }
 
 
-def _check_rule(cfg: dict, name: str, rules: dict, schedule: list) -> None:
+def _check_rule(cfg: dict, name: str, rules: dict, schedule: list, read: bool) -> None:
     spec = cfg.get(name)
     _expect_keys(spec, {"rule", *(r.field for r in rules.values())}, name)
     rule = rules.get(spec.get("rule")) if isinstance(spec.get("rule"), str) else None
     _require(rule is not None, f"{name}.rule must be {' | '.join(rules)}")
     _require(rule.check(spec.get(rule.field), len(schedule)),
              f"{name}.{rule.field} must be {rule.want} for rule {spec['rule']}")
+    given_d = read and name == "dRule" and spec["rule"] in ("fixed", "fixedPerN")
     # d* <= n, as ell(K) <= sqrt(n) b(K); 2n leaves room for a Monte-Carlo ell(K).
     for i, n in enumerate(schedule):
         try:
-            rule.derive(spec, i, n, 2.0 * n)
+            value = rule.derive(spec, i, n, 2.0 * n)
         except OverflowError:
             raise ConfigError(f"{name}.{rule.field} gives no finite {name[0]} at n={n}") from None
+        _require(not given_d or value <= n, f"{name}.{rule.field} gives d={value} > n={n}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,7 +186,7 @@ def parse_config(cfg: dict) -> ExperimentConfig:
         bodies = build(body.get(field), schedule)
     for section, rules in (("dRule", _D_RULES), ("mRule", _M_RULES)):
         if section in cfg:
-            _check_rule(cfg, section, rules, schedule)
+            _check_rule(cfg, section, rules, schedule, section in kind.needs)
 
     ens = cfg.get("ensembles", {})
     _expect_keys(ens, set(kind.laws), "ensembles")
@@ -508,9 +510,6 @@ def run_experiment(config: ExperimentConfig | dict, out_dir=".", threads: int = 
     if isinstance(config, dict):
         config = parse_config(config)
     _require(_is_int(threads), "threads must be an integer >= 1")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     workers = min(threads, os.cpu_count() or 1, len(config.schedule) * config.trials)
     if workers > 1:
         # Fork, not spawn: a spawned worker still pays 0.3 s for a fresh interpreter
@@ -524,6 +523,8 @@ def run_experiment(config: ExperimentConfig | dict, out_dir=".", threads: int = 
     else:
         records = _sweep(config, map)
 
+    out_dir = Path(out_dir)  # made only once the sweep has its records
+    out_dir.mkdir(parents=True, exist_ok=True)
     outputs = config.raw.get("outputs", {})
     csv_path = out_dir / outputs.get("csv", "trials.csv")
     summary_path = out_dir / outputs.get("summary", "summary.json")

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import dmlab.processes as processes
 from dmlab.calibration import C_CHAIN, C_SUD, CONCENTRATION_C
 from dmlab.processes import (
+    TAIL_MIN_TRIALS,
     FiniteIndexSet,
     _coefficients,
     bernoulli_gaussian_ratio,
@@ -15,6 +17,7 @@ from dmlab.processes import (
     index_set,
     sudakov_lower,
 )
+from dmlab.seeding import MC_CHUNK
 
 
 def test_emp_sup_singleton_bernoulli_is_zero():
@@ -229,3 +232,86 @@ def test_coefficients_are_the_gaussian_and_sign_laws(kind):
     else:
         want = [(rng.integers(0, 2, size=(c, 5)) * 2 - 1).astype(float) for c in (3, 7)]
     assert np.array_equal(got, np.concatenate(want))
+
+
+@pytest.mark.parametrize("trials, error", [(True, TypeError), (2.5, TypeError), (0, ValueError)])
+def test_trials_are_checked_at_the_boundary(trials, error):
+    T = index_set(np.eye(2))
+    with pytest.raises(error, match="^trials must be"):
+        emp_sup("gaussian", T, trials=trials)
+    with pytest.raises(error, match="^trials must be"):
+        bernoulli_gaussian_ratio(T, trials=trials)
+
+
+@pytest.mark.parametrize("trials, error", [
+    (True, TypeError), (TAIL_MIN_TRIALS + 0.5, TypeError), (0, ValueError),
+])
+def test_tail_trials_are_checked_at_the_boundary(trials, error):
+    with pytest.raises(error, match="trials"):
+        concentration_check(index_set(np.eye(2)), trials=trials)
+
+
+def test_numpy_integer_trials_are_accepted():
+    T = index_set(np.eye(2))
+    assert emp_sup("gaussian", T, trials=np.int64(50)) == emp_sup("gaussian", T, trials=50)
+
+
+def _suprema(T):
+    """Every supremum path at ell = 15: both Monte-Carlo kinds over one whole
+    chunk and a tail chunk, exact enumeration over two 2^14-pattern blocks,
+    and every field of the concentration tail."""
+    tail = concentration_check(T, trials=TAIL_MIN_TRIALS, seed=3)
+    return [emp_sup("gaussian", T, trials=MC_CHUNK + 300, seed=1),
+            emp_sup("bernoulli", T, trials=MC_CHUNK + 300, seed=2),
+            emp_sup("bernoulli", T, method="exactEnumeration"),
+            tail.x, tail.empirical, tail.bound, tail.sigma_star, tail.sup_mean]
+
+
+def _unblocked_suprema(monkeypatch, T):
+    """`_suprema` with each chunk's maxima taken from the whole product, as before blocking."""
+    with monkeypatch.context() as m:
+        m.setattr(processes, "_row_max", lambda C, V: (C @ V).max(axis=1))
+        return _suprema(T)
+
+
+def _assert_same_bits(got, want):
+    for g, w in zip(got, want, strict=True):
+        if isinstance(g, np.ndarray):
+            assert g.tobytes() == w.tobytes()
+        else:
+            assert g == w
+
+
+@pytest.mark.parametrize("size", [1, 7, 256])
+def test_blocked_suprema_equal_the_whole_product_bit_for_bit(monkeypatch, size):
+    # At the module's block size, sets of 1 and 7 vectors take each chunk in one
+    # block and 256 vectors take blocks of 256 rows with tails of 44 and 16 rows.
+    T = index_set(np.random.default_rng(size).standard_normal((size, 15)))
+    _assert_same_bits(_suprema(T), _unblocked_suprema(monkeypatch, T))
+
+
+@pytest.mark.parametrize("rows", [1, 3, 5])
+@pytest.mark.parametrize("size", [1, 7, 256])
+def test_row_blocks_and_their_tails_cover_every_row(monkeypatch, size, rows):
+    # Each vector is +-2^j e_k, so each product entry is one exact term and any
+    # BLAS partition of the rows gives the same bits: only the blocking shows.
+    # On general vectors the BLAS may round a few entries of such small blocks
+    # differently from the whole product (see processes._row_max).
+    i = np.arange(size)
+    V = np.zeros((size, 15))
+    V[i, i % 15] = (-1.0) ** i * 2.0 ** (i % 5)
+    T = index_set(V)
+    monkeypatch.setattr(processes, "_SUP_BLOCK_BYTES", 8 * size * rows)
+    _assert_same_bits(_suprema(T), _unblocked_suprema(monkeypatch, T))
+
+
+@pytest.mark.parametrize("size", [7, 255])
+def test_small_row_blocks_move_general_suprema_by_rounding_at_most(monkeypatch, size):
+    # The BLAS may round a product entry by the row partition, most of all in
+    # blocks of a few rows: the estimates then agree to rounding, not bits.
+    T = index_set(np.random.default_rng(size).standard_normal((size, 15)))
+    monkeypatch.setattr(processes, "_SUP_BLOCK_BYTES", 8 * size * 3)
+    got, want = _suprema(T)[:3], _unblocked_suprema(monkeypatch, T)[:3]
+    for g, w in zip(got, want):
+        assert g.value == pytest.approx(w.value, rel=1e-12)
+        assert g.stderr == pytest.approx(w.stderr, rel=1e-12)

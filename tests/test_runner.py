@@ -239,6 +239,38 @@ def test_cli_rejects_an_overflowing_rule_constant_with_exit_2(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("d_rule, match", [
+    ({"rule": "fixed", "d": 33}, "dRule.d gives d=33 > n=32"),
+    ({"rule": "fixedPerN", "values": [32, 65]}, "dRule.values gives d=65 > n=64"),
+], ids=["fixed", "fixedPerN"])
+def test_a_given_d_above_n_is_rejected(d_rule, match):
+    # Gamma is n x d; KIND_CFGS["cubeCounterexample"] has the schedule [32, 64].
+    cfg = KIND_CFGS["cubeCounterexample"]
+    with pytest.raises(ConfigError, match=f"^{match}$"):
+        parse_config({**cfg, "dRule": d_rule})
+    parse_config({**cfg, "dRule": {"rule": "fixedPerN", "values": [32, 64]}})
+    parse_config({**SANDBOX_CFG, "dRule": {"rule": "fixed", "d": 65}})  # processSandbox never reads d
+
+
+def test_cli_rejects_a_huge_fixed_d_with_exit_2_and_no_output_dir(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**KIND_CFGS["productLogConcave"],
+                                "dRule": {"rule": "fixed", "d": 10**30}}))
+    assert cli_main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_sweep_that_raises_leaves_no_output_dir(tmp_path, monkeypatch):
+    def fail(config, n_index):
+        raise ValueError("schedule context failed")
+
+    monkeypatch.setattr(runner_mod, "_schedule_context", fail)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(BASE_CFG))
+    assert cli_main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_rejects_an_infinite_rule_constant_with_exit_2(tmp_path):
     # json writes and reads Infinity; the derived d would overflow in the sweep.
     path = tmp_path / "cfg.json"
