@@ -3,7 +3,8 @@
 The set is the four benchmark workloads (`perfbench/workloads.py`), the small
 config of each experiment kind (`KIND_CFGS` in `tests/test_runner.py`) and
 the six acceptance configs (`CONFIGS` in `tests/test_acceptance.py`) at 2
-trials, all at master seed 7 and one worker.  The ledger records, per run,
+trials, and the ledger-only configs `EXTRA_CFGS` below, all at master seed 7
+and one worker.  The ledger records, per run,
 the sha256 of the CSV and of the summary, the CSV cells and the summary, and
 once the numpy version, the BLAS and numpy's CPU features, since GEMM
 summation order and SIMD kernels decide the last bits.
@@ -43,6 +44,30 @@ MASTER_SEED = 7
 ACCEPTANCE_TRIALS = 2
 REL_TOL = 1e-6  # cell comparison on another platform: |a - b| <= REL_TOL max(|a|, |b|)
 
+# Paths that no config above reaches: the multi-start ascent and descent on
+# LpBall(inf) and on a PolarPolytope, and process suprema at a set size that is
+# not a multiple of 16 (where a row-blocked GEMM may round differently).
+EXTRA_CFGS = {
+    "multistart-linf": {
+        "experimentKind": "gaussianDM", "body": {"kind": "LpBall", "p": "inf"},
+        "schedule": [48, 96], "dRule": {"rule": "fixed", "d": 5}, "trials": 3,
+        "distortionMethod": {"method": "multiStartOpt", "starts": 8},
+    },
+    "multistart-polytope": {
+        "experimentKind": "gaussianDM",
+        "body": {"kind": "PolarPolytope",
+                 "dualVertices": [[(7 * i + 3 * j) % 11 - 5 for j in range(24)]
+                                  for i in range(6)]},
+        "schedule": [24], "dRule": {"rule": "fixed", "d": 4}, "trials": 3,
+        "distortionMethod": {"method": "multiStartOpt", "starts": 8},
+    },
+    "sandbox-set255": {
+        "experimentKind": "processSandbox", "schedule": [1], "dRule": {"rule": "fixed", "d": 1},
+        "trials": 2, "process": {"setSize": 255, "setDim": 32, "innerTrials": 10000,
+                                 "supTrials": 4096},
+    },
+}
+
 _NUMBER = re.compile(r"([-+]?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?)")
 
 
@@ -62,6 +87,7 @@ def configs() -> dict:
     runs.update({f"kind-{k}": cfg for k, cfg in kinds.items()})
     runs.update({f"acceptance-{k}": {**cfg, "trials": ACCEPTANCE_TRIALS}
                  for k, cfg in acceptance.items()})
+    runs.update({f"ledger-{k}": cfg for k, cfg in EXTRA_CFGS.items()})
     return {name: {**cfg, "masterSeed": MASTER_SEED} for name, cfg in runs.items()}
 
 
