@@ -3,7 +3,8 @@
 A body K here is always centrally symmetric, so it is the unit ball of a norm
 ||.||_K, evaluated through the polar body: ||x||_K = sup over t in the polar
 of <x, t>, and a maximizing t is a subgradient at x.  Every rule that depends
-on the family lives in this module; three families are supported:
+on the family lives in this module, and one pass over P = X Gamma^T gives both
+the norms and the leads of the subgradients.  Three families are supported:
 
   * LpBall(p, n)        -- unit ball of l_p; polar data is the Hoelder
                            conjugate ball, kept implicit (never materialized).
@@ -93,8 +94,8 @@ def diagonal_image(base: ConvexBody, scales) -> DiagonalImage:
 
 
 def _check_input(body: ConvexBody, X: np.ndarray) -> None:
-    if X.shape[-1] != body.n:
-        raise ValueError(f"dimension mismatch: body.n={body.n}, got {X.shape[-1]}")
+    if X.ndim != 2 or X.shape[1] != body.n:
+        raise ValueError(f"dimension mismatch: body.n={body.n}, got shape {X.shape}")
     if not np.all(np.isfinite(X)):
         raise ValueError("input contains NaN or infinity")
 
@@ -103,41 +104,49 @@ def norm_many(body: ConvexBody, X: np.ndarray) -> np.ndarray:
     """||x||_K for each row x of X (shape (k, n)), K being the body's unit ball."""
     X = np.asarray(X, dtype=float)
     _check_input(body, X)
-    return _norm_many_unchecked(body, X)
+    return _norms_and_leads(body, X)[0]
 
 
-def _norm_many_unchecked(body: ConvexBody, X: np.ndarray) -> np.ndarray:
-    """norm_many without the input check, for a float X of width body.n whose
-    entries the caller knows to be finite (the optimizer's inner loop)."""
+def _norms_and_leads(body: ConvexBody, P: np.ndarray) -> tuple:
+    """(||p||_K for each row p of P, the lead `_pull_back` needs), from one pass over P.
+
+    Leads are tuples of arrays indexed by row: the first index of the largest |p_i| and
+    the sign there (p = inf), the first maximising dual vertex (PolarPolytope), or P and
+    its norms (finite p).  P is a (k, n) float array known to be finite (norm_many checks).
+    """
+    rows = np.arange(P.shape[0])
     if isinstance(body, LpBall):
         if math.isinf(body.p):
-            return np.abs(X).max(axis=-1)
-        return (np.abs(X) ** body.p).sum(axis=-1) ** (1.0 / body.p)
+            # the first max or the first min, whichever is larger in size (earlier on a tie)
+            hi, lo = P.argmax(axis=1), P.argmin(axis=1)
+            top, bottom = P[rows, hi], -P[rows, lo]
+            idx = np.where((top > bottom) | ((top == bottom) & (hi < lo)), hi, lo)
+            lead = P[rows, idx]
+            return np.abs(lead), (idx, np.sign(lead))
+        norms = (np.abs(P) ** body.p).sum(axis=-1) ** (1.0 / body.p)
+        return norms, (P, norms)
     if isinstance(body, PolarPolytope):
-        return (X @ body.dual_vertices.T).max(axis=-1)
+        scores = P @ body.dual_vertices.T
+        idx = scores.argmax(axis=1)
+        return scores[rows, idx], (idx,)
     if isinstance(body, DiagonalImage):
-        return _norm_many_unchecked(body.base, X / body.scales)
+        return _norms_and_leads(body.base, P / body.scales)
     raise TypeError(f"unsupported body {type(body).__name__}")
 
 
-def _pullback_subgradients(body: ConvexBody, P: np.ndarray, gamma: np.ndarray,
-                           norms: np.ndarray) -> np.ndarray:
-    """Rows of d/dx ||Gamma x||_K at rows x of X, from P = X @ Gamma^T and its norms."""
+def _pull_back(body: ConvexBody, lead: tuple, gamma: np.ndarray) -> np.ndarray:
+    """Rows of d/dx ||Gamma x||_K at rows x of X, from the leads of P = X @ Gamma^T."""
     if isinstance(body, LpBall):
         if math.isinf(body.p):
-            idx = np.argmax(np.abs(P), axis=1)
-            sgn = np.sign(P[np.arange(P.shape[0]), idx])
-            sgn[sgn == 0.0] = 1.0
-            return sgn[:, None] * gamma[idx, :]
+            idx, sgn = lead
+            return np.where(sgn == 0.0, 1.0, sgn)[:, None] * gamma[idx, :]
+        P, norms = lead
         safe = np.where(norms > 0.0, norms, 1.0)
-        g_y = np.sign(P) * (np.abs(P) / safe[:, None]) ** (body.p - 1.0)
-        return g_y @ gamma
+        return (np.sign(P) * (np.abs(P) / safe[:, None]) ** (body.p - 1.0)) @ gamma
     if isinstance(body, PolarPolytope):
-        idx = np.argmax(P @ body.dual_vertices.T, axis=1)
-        return body.dual_vertices[idx] @ gamma
+        return body.dual_vertices[lead[0]] @ gamma
     if isinstance(body, DiagonalImage):
-        return _pullback_subgradients(body.base, P / body.scales, gamma / body.scales[:, None],
-                                      norms)
+        return _pull_back(body.base, lead, gamma / body.scales[:, None])
     raise TypeError(f"unsupported body {type(body).__name__}")
 
 

@@ -15,9 +15,9 @@ fields it reads.  The config parser reads the same table.
                  the true [inf, sup].  True bounds, practical only for small d;
                  refused when rho >= 1 or the probed covering radius exceeds rho.
   multiStartOpt  projected subgradient ascent/descent from random plus axis
-                 starts, each holding its point, value and subgradient; a
-                 start halves its step on every rejected move and retires
-                 once the step is below 1e-12.  Heuristic on both sides.
+                 starts, with one evaluation of the body per step; a start
+                 halves its step on every rejected move and retires once the
+                 step is below 1e-12.  Heuristic on both sides.
 
 The cube witness reproduces the failure mode of a single sign-symmetric
 matrix on the sup side: aligning signs with the heaviest row inflates
@@ -31,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dmlab.bodies import (ConvexBody, LpBall, _norm_many_unchecked, _pullback_subgradients,
-                          norm_many)
+from dmlab.bodies import ConvexBody, LpBall, _norms_and_leads, _pull_back, norm_many
 from dmlab.events import singular_extremes
 from dmlab.nets import SphereNet, _sphere_points
 from dmlab.seeding import child_seed
@@ -67,17 +66,19 @@ def _multistart(body: ConvexBody, gamma: np.ndarray, starts: int, seed: int,
     """Best value found by projected subgradient ascent (+1) or descent (-1).
 
     Each start keeps its point x, value ||Gamma x||_K and pulled-back
-    subgradient G, all in R^d; only accepted candidates get a new G, from the
-    projections the loop already holds.  A start retires once its step is
-    below 1e-12.  Only the first evaluation checks its input: the loop's
-    candidates are unit vectors mapped by the same Gamma.
+    subgradient G, all in R^d.  Each step evaluates the body once on the active
+    starts' candidates, for their norms and leads; only the accepted ones are
+    pulled back, from their leads.  A start retires once its step is below
+    1e-12.  Only the starts' evaluation checks its input (the candidates are
+    unit vectors mapped by the same Gamma); their leads take a second pass.
     """
     d = gamma.shape[1]
     axes = np.concatenate([np.eye(d), -np.eye(d)], axis=0)
     X = np.concatenate([axes, _sphere_points(np.random.default_rng(seed), starts, d)], axis=0)
     P = X @ gamma.T
     vals = norm_many(body, P)
-    G = _pullback_subgradients(body, P, gamma, vals)
+    G = _pull_back(body, _norms_and_leads(body, P)[1], gamma)
+    del P
     step = np.full(X.shape[0], 0.5)
     active = np.arange(X.shape[0])
     for _ in range(_OPT_ITERS):
@@ -85,13 +86,12 @@ def _multistart(body: ConvexBody, gamma: np.ndarray, starts: int, seed: int,
         cn = np.linalg.norm(cand, axis=1, keepdims=True)
         cn[cn == 0.0] = 1.0
         cand /= cn
-        cand_p = cand @ gamma.T
-        cvals = _norm_many_unchecked(body, cand_p)
+        cvals, lead = _norms_and_leads(body, cand @ gamma.T)
         better = cvals > vals[active] if mode > 0 else cvals < vals[active]
         moved = active[better]
         X[moved] = cand[better]
         vals[moved] = cvals[better]
-        G[moved] = _pullback_subgradients(body, cand_p[better], gamma, cvals[better])
+        G[moved] = _pull_back(body, tuple(a[better] for a in lead), gamma)
         step[active[~better]] *= 0.5
         active = active[step[active] >= 1e-12]
         if active.size == 0:

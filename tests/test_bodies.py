@@ -6,8 +6,9 @@ import pytest
 from dmlab.bodies import (
     BodyConstants,
     LpBall,
-    _norm_many_unchecked,
-    _pullback_subgradients,
+    PolarPolytope,
+    _norms_and_leads,
+    _pull_back,
     critical_dimension,
     diagonal_image,
     dual_norm_sup,
@@ -252,9 +253,84 @@ def test_finite_p_rule_is_bitwise_the_p1_and_p2_rules(p):
         gamma = rng.standard_normal((n, d))
         body = LpBall(p, n)
         ref_norms, ref_sub = _lp_reference(p, P, gamma)
-        norms = _norm_many_unchecked(body, P)
+        norms, lead = _norms_and_leads(body, P)
         assert np.array_equal(norms, ref_norms), trial
-        assert np.array_equal(_pullback_subgradients(body, P, gamma, norms), ref_sub), trial
+        assert np.array_equal(_pull_back(body, lead, gamma), ref_sub), trial
+
+
+def _norm_reference(body, X):
+    """The norm rule that `_norms_and_leads` replaced."""
+    if isinstance(body, LpBall):
+        if math.isinf(body.p):
+            return np.abs(X).max(axis=-1)
+        return (np.abs(X) ** body.p).sum(axis=-1) ** (1.0 / body.p)
+    if isinstance(body, PolarPolytope):
+        return (X @ body.dual_vertices.T).max(axis=-1)
+    return _norm_reference(body.base, X / body.scales)
+
+
+def _pullback_reference(body, P, gamma, norms):
+    """The subgradient rule that `_pull_back` replaced: it re-reads P for its lead."""
+    if isinstance(body, LpBall):
+        if math.isinf(body.p):
+            idx = np.argmax(np.abs(P), axis=1)
+            sgn = np.sign(P[np.arange(P.shape[0]), idx])
+            sgn[sgn == 0.0] = 1.0
+            return sgn[:, None] * gamma[idx, :]
+        safe = np.where(norms > 0.0, norms, 1.0)
+        g_y = np.sign(P) * (np.abs(P) / safe[:, None]) ** (body.p - 1.0)
+        return g_y @ gamma
+    if isinstance(body, PolarPolytope):
+        idx = np.argmax(P @ body.dual_vertices.T, axis=1)
+        return body.dual_vertices[idx] @ gamma
+    return _pullback_reference(body.base, P / body.scales, gamma / body.scales[:, None], norms)
+
+
+def _rule_body(family, n, rng):
+    if family == "polytope":
+        return polar_polytope(rng.integers(-3, 4, (5, n)))
+    if family == "diagonal":
+        return diagonal_image(LpBall(math.inf, n), rng.uniform(0.5, 2.0, n))
+    return LpBall(float(family), n)
+
+
+def _tied_rows(rng, k, n):
+    """Rows with exact ties: quarter-integers (so +a and -a, repeated maxima and
+    exact polytope scores are common), then -0.0 entries and all-zero rows."""
+    P = rng.integers(-4, 5, (k, n)) / 4.0
+    if rng.random() < 0.5:
+        P[: k // 2] = rng.standard_normal((k // 2, n))
+    P[rng.random((k, n)) < 0.2] = -0.0
+    P[rng.random(k) < 0.2] = 0.0
+    P[rng.random(k) < 0.2] = -0.0
+    return P
+
+
+@pytest.mark.parametrize("family", ["inf", "1", "1.5", "2", "3", "polytope", "diagonal"])
+def test_one_pass_rule_is_bitwise_the_norm_and_pullback_rules(family):
+    # Every row, and the subset of rows that the optimizer pulls back (the
+    # accepted candidates), against the norm and the subgradient rules that
+    # each read P on their own.
+    rng = np.random.default_rng(17)
+    for trial in range(200):
+        k, n, d = rng.integers(1, 12), rng.integers(1, 40), rng.integers(1, 6)
+        P = _tied_rows(rng, k, n)
+        gamma = rng.standard_normal((n, d))
+        body = _rule_body(family, n, rng)
+        ref_norms = _norm_reference(body, P)
+        norms, lead = _norms_and_leads(body, P)
+        assert np.array_equal(norms, ref_norms), trial
+        assert all(len(a) == k for a in lead), trial
+        assert np.array_equal(_pull_back(body, lead, gamma),
+                              _pullback_reference(body, P, gamma, ref_norms)), trial
+        keep = rng.random(k) < 0.5
+        assert np.array_equal(_pull_back(body, tuple(a[keep] for a in lead), gamma),
+                              _pullback_reference(body, P[keep], gamma, ref_norms[keep])), trial
+
+
+def test_norm_many_takes_rows_only():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        norm_many(LpBall(2.0, 3), np.ones(3))
 
 
 def test_lp_ball_rejects_a_nonpositive_dimension():

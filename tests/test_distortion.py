@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dmlab import bodies
-from dmlab.bodies import (LpBall, _pullback_subgradients, diagonal_image, mean_width,
+from dmlab.bodies import (LpBall, _norms_and_leads, _pull_back, diagonal_image, mean_width,
                           norm_many, polar_polytope)
 from dmlab.calibration import GAUSSIAN_BAND
 from dmlab.distortion import _multistart, adversarial_linf_witness, measure_distortion
@@ -77,7 +77,7 @@ def _full_width_multistart(body, gamma, starts, seed, mode, iters=500):
     vals = norm_many(body, X @ gamma.T)
     for _ in range(iters):
         P = X @ gamma.T
-        G = _pullback_subgradients(body, P, gamma, norm_many(body, P))
+        G = _pull_back(body, _norms_and_leads(body, P)[1], gamma)
         cand = X + mode * step[:, None] * G
         cn = np.linalg.norm(cand, axis=1, keepdims=True)
         cn[cn == 0.0] = 1.0
@@ -113,58 +113,64 @@ def test_multistart_matches_full_width_loop(family, mode):
         assert abs(got - want) <= 1e-8 * abs(want)
 
 
-def test_multistart_evaluates_norms_once_per_iteration(monkeypatch):
-    # the subgradient reuses the norms the loop already holds; at 30 iterations
-    # no step can fall below 1e-12 (0.5 * 2**-30 > 1e-12), so no start retires.
-    # Every evaluation, checked or not, goes through the unchecked evaluator.
+@pytest.mark.parametrize("p", ["inf", "3"])
+def test_multistart_evaluates_norms_once_per_iteration(monkeypatch, p):
+    # One pass of the body rule per iteration gives the norms and the leads
+    # together.  At 30 iterations no step can fall below 1e-12
+    # (0.5 * 2**-30 > 1e-12), so no start retires and every pass covers all
+    # starts.  The starts take two passes: the checked one, through norm_many,
+    # and the one for their leads.
     calls, checked = [], []
-    evaluate = bodies._norm_many_unchecked
+    evaluate = bodies._norms_and_leads
 
-    def counting_evaluator(body, X):
-        calls.append(X.shape[0])
-        return evaluate(body, X)
+    def counting_rule(body, P):
+        calls.append(P.shape[0])
+        return evaluate(body, P)
 
     def counting_norm_many(body, X):
         checked.append(X.shape[0])
         return norm_many(body, X)
 
-    monkeypatch.setattr("dmlab.bodies._norm_many_unchecked", counting_evaluator)
-    monkeypatch.setattr("dmlab.distortion._norm_many_unchecked", counting_evaluator)
+    monkeypatch.setattr("dmlab.bodies._norms_and_leads", counting_rule)
+    monkeypatch.setattr("dmlab.distortion._norms_and_leads", counting_rule)
     monkeypatch.setattr("dmlab.distortion.norm_many", counting_norm_many)
     monkeypatch.setattr("dmlab.distortion._OPT_ITERS", 30)
     rng = np.random.default_rng(0)
     G = rng.standard_normal((1024, 12))
-    _multistart(LpBall(3.0, 1024), G, 64, 0, -1)
-    assert len(calls) == 1 + 30
+    _multistart(LpBall(float(p), 1024), G, 64, 0, -1)
+    assert calls == [2 * 12 + 64] * (2 + 30)
     assert checked == [2 * 12 + 64]  # only the first evaluation checks its input
 
 
-def test_multistart_pulls_back_only_starts_and_accepted_candidates(monkeypatch):
-    # At 30 iterations no start retires (see above), so every evaluation after
-    # the first covers all starts in order and the accepted candidates can be
-    # counted from the values alone.
+@pytest.mark.parametrize("p", ["inf", "3"])
+def test_multistart_pulls_back_only_starts_and_accepted_candidates(monkeypatch, p):
+    # At 30 iterations no start retires (see above), so every pass after the
+    # starts' two covers all starts in order, and the accepted candidates can
+    # be counted from the norms alone.
     pulled, evaluated = [], []
-    pull_back, evaluate = _pullback_subgradients, bodies._norm_many_unchecked
+    pull_back, evaluate = bodies._pull_back, bodies._norms_and_leads
 
-    def counting_pullback(body, P, gamma, norms):
-        pulled.append(P.shape[0])
-        return pull_back(body, P, gamma, norms)
+    def counting_pull_back(body, lead, gamma):
+        pulled.append(len(lead[0]))
+        return pull_back(body, lead, gamma)
 
-    def recording_evaluator(body, X):
-        evaluated.append(evaluate(body, X))
-        return evaluated[-1].copy()  # the loop updates its values in place
+    def recording_rule(body, P):
+        norms, lead = evaluate(body, P)
+        evaluated.append(norms)
+        return norms.copy(), lead  # the loop updates its values in place
 
-    monkeypatch.setattr("dmlab.distortion._pullback_subgradients", counting_pullback)
-    monkeypatch.setattr("dmlab.distortion._norm_many_unchecked", recording_evaluator)
-    monkeypatch.setattr("dmlab.bodies._norm_many_unchecked", recording_evaluator)
+    monkeypatch.setattr("dmlab.distortion._pull_back", counting_pull_back)
+    monkeypatch.setattr("dmlab.distortion._norms_and_leads", recording_rule)
+    monkeypatch.setattr("dmlab.bodies._norms_and_leads", recording_rule)
     monkeypatch.setattr("dmlab.distortion._OPT_ITERS", 30)
     G = np.random.default_rng(0).standard_normal((1024, 12))
-    _multistart(LpBall(3.0, 1024), G, 64, 0, -1)
+    _multistart(LpBall(float(p), 1024), G, 64, 0, -1)
     vals, accepted = evaluated[0], 0
-    for cvals in evaluated[1:]:
+    assert np.array_equal(evaluated[1], vals)
+    for cvals in evaluated[2:]:
         accepted += int((cvals < vals).sum())
         vals = np.minimum(vals, cvals)
-    assert len(evaluated) == 1 + 30 and 0 < accepted < 30 * (2 * 12 + 64)
+    assert len(evaluated) == 2 + 30 and 0 < accepted < 30 * (2 * 12 + 64)
     assert sum(pulled) == 2 * 12 + 64 + accepted
 
 
