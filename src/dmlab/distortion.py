@@ -78,7 +78,7 @@ def _multistart(body: ConvexBody, gamma: np.ndarray, starts: int, seed: int,
     P = X @ gamma.T
     vals = norm_many(body, P)
     G = _pull_back(body, _norms_and_leads(body, P)[1], gamma)
-    del P
+    del P  # the loop holds only its own product, one per step
     step = np.full(X.shape[0], 0.5)
     active = np.arange(X.shape[0])
     for _ in range(_OPT_ITERS):
