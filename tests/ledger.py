@@ -45,8 +45,10 @@ ACCEPTANCE_TRIALS = 2
 REL_TOL = 1e-6  # cell comparison on another platform: |a - b| <= REL_TOL max(|a|, |b|)
 
 # Paths that no config above reaches: the multi-start ascent and descent on
-# LpBall(inf) and on a PolarPolytope, and process suprema at a set size that is
-# not a multiple of 16 (where a row-blocked GEMM may round differently).
+# LpBall(inf) and on a PolarPolytope, process suprema at a set size that is
+# not a multiple of 16 (where a row-blocked GEMM may round differently), and
+# the greedy sparse search with more support columns than rows
+# (floor(theta m) = 6 > d = 4), where the swap bound is Weyl's.
 EXTRA_CFGS = {
     "multistart-linf": {
         "experimentKind": "gaussianDM", "body": {"kind": "LpBall", "p": "inf"},
@@ -65,6 +67,13 @@ EXTRA_CFGS = {
         "experimentKind": "processSandbox", "schedule": [1], "dRule": {"rule": "fixed", "d": 1},
         "trials": 2, "process": {"setSize": 255, "setDim": 32, "innerTrials": 10000,
                                  "supTrials": 4096},
+    },
+    "event-k-above-d": {
+        "experimentKind": "eventAFrequency", "body": {"kind": "LpBall", "p": 2},
+        "schedule": [64], "dRule": {"rule": "fixed", "d": 4},
+        "mRule": {"rule": "fixed", "m": 64}, "trials": 3,
+        "ensembles": {"col": "LogConcaveSimplex"},
+        "constants": {"theta": 6.5 / 64, "delta": 0.2, "kappa1": 2.0, "restarts": 4},
     },
 }
 
