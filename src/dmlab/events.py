@@ -10,7 +10,7 @@ steepest single-swap local search with restarts.  Greedy numbers are lower
 bounds, so a violation found by greedy is conclusive while a confirmation is
 heuristic; every report records which method produced each number.
 
-The swap search prunes its candidates before any eigenvalue is computed.
+The swap search prunes its candidates by a closed-form bound.
 Replacing column i of the support by column j gives the gram of S = X[:, rest]
 bordered by x_j.  With l1 = lambda_max(S^T S), b_j = S^T x_j and c_j = |x_j|^2,
 the unit vector (u, t) gives u^T S^T S u + 2t b_j^T u + c_j t^2, at most the
@@ -18,26 +18,36 @@ form of [[l1, |b_j|], [|b_j|, c_j]] at (|u|, |t|), so for k <= d
 
     lambda_max <= (l1 + c_j)/2 + sqrt((l1 - c_j)^2/4 + |b_j|^2),
 
-and for k > d, by Weyl, lambda_max(S S^T + x_j x_j^T) <= l1 + c_j.  A
-candidate whose bound, times 1 + 1e-9 for rounding, is below floor^2, with
-floor the running best swap plus the 1e-12 acceptance margin, cannot be
-accepted, so only the others reach eigvalsh.  Their grams are built from the
-same products as without pruning, ties still go to the first candidate, and
-the search returns the same support, value and witness bit for bit.
+and for k > d, by Weyl, lambda_max(S S^T + x_j x_j^T) <= l1 + c_j.
+
+Each round forms the k rest grams and cross products b_j with the products
+of the unpruned search and makes three batched eigvalsh calls: the rest
+grams' l1; the scouts, each position's candidate of largest bound, whose best
+value G0 is at most the round's best swap value G; and every swap whose bound,
+times 1 + 1e-9 for rounding, reaches floor^2, with
+floor = max(val + 1e-12, G0 - (k + 1) 1e-12).  To those values it applies the
+unpruned first-improvement rule, kept because it decides which of near-tied
+supports the search returns: positions in support order, the first maximum
+within a position, taken if it beats the running swap by more than 1e-12.  A
+swap below val + 1e-12 is never taken; one below G - (k + 1) 1e-12 moves the
+running value only within a window that rises by at most 1e-12 per position,
+while the round ends on a swap worth at least G - 1e-12, so the same last swap
+is taken.  eigvalsh treats each matrix of a batch on its own, and the search
+returns the same support, value and witness bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations, islice, pairwise
 
 import numpy as np
 
 from dmlab.seeding import child_seed
 
 _BOUND_SLACK = 1e-9            # relative slack on the swap bound; absorbs its rounding
-_EXACT_CHUNK_BYTES = 1 << 23   # submatrices and grams of one exact-enumeration batch
+_CHUNK_BYTES = 1 << 23         # submatrices and grams of one batched eigvalsh call
 
 
 def singular_extremes(M):
@@ -55,56 +65,55 @@ def _submatrix_smax(sub: np.ndarray) -> float:
     return math.sqrt(max(float(np.linalg.eigvalsh(g)[-1]), 0.0))
 
 
-def _swap_values(X: np.ndarray, support: list, i: int, B: np.ndarray,
-                 diag: np.ndarray, floor: float) -> tuple:
-    """Spectral norms of the submatrices (support - {i}) + {j} that may reach floor.
+def _swap_round(X: np.ndarray, support: list, cand: np.ndarray, val: float) -> tuple:
+    """(floor, pos, col, values): the swaps of one round whose bound reaches floor.
 
-    B (d x c) holds the candidate columns j and diag their squared norms.
-    Returns (keep, values): the positions in B whose closed-form bound on
-    the squared norm reaches floor**2, and the norms of those submatrices.
-    The gram of the shared k-1 columns is assembled once; each candidate
-    borders it with one row/column (k <= d) or adds a rank-one term to the
-    d x d gram (k > d), and the kept grams go to one batched eigvalsh call.
+    values[n] is the spectral norm with cand[col[n]] in place of support[pos[n]].
     """
-    d = X.shape[0]
-    rest = [s for s in support if s != i]
-    k = len(rest) + 1
-    sub = X[:, rest]                            # d x (k-1)
+    B, d, k = X[:, cand], X.shape[0], len(support)
+    diag = (B * B).sum(axis=0)
+    subs = (X[:, [s for s in support if s != i]] for i in support)    # k of d x (k-1)
     if k <= d:
-        g0 = sub.T @ sub
-        cross = sub.T @ B                       # (k-1) x c
-        lam = float(np.linalg.eigvalsh(g0)[-1]) if k > 1 else 0.0
+        g0, cross = map(np.array, zip(*((sub.T @ sub, sub.T @ B) for sub in subs)))
+        lam = np.linalg.eigvalsh(g0)[:, -1:] if k > 1 else np.zeros((1, 1))
         bound = 0.5 * (lam + diag) + np.sqrt(0.25 * (lam - diag) ** 2
-                                             + (cross * cross).sum(axis=0))
+                                             + (cross * cross).sum(axis=1))
     else:
-        g0 = sub @ sub.T                        # d x d
-        bound = float(np.linalg.eigvalsh(g0)[-1]) + diag
-    keep = np.flatnonzero(bound * (1.0 + _BOUND_SLACK) >= floor * floor)
-    if k <= d:
-        grams = np.empty((keep.size, k, k))
-        grams[:, :k - 1, :k - 1] = g0
-        kept = cross.T[keep]
-        grams[:, :k - 1, k - 1] = kept
-        grams[:, k - 1, :k - 1] = kept
-        grams[:, k - 1, k - 1] = diag[keep]
-    else:
-        Bk = B.T[keep]
-        grams = g0[None, :, :] + Bk[:, :, None] * Bk[:, None, :]
-    top = np.linalg.eigvalsh(grams)[:, -1]
-    return keep, np.sqrt(np.maximum(top, 0.0))
+        g0 = np.array([sub @ sub.T for sub in subs])                    # k x d x d
+        bound = np.linalg.eigvalsh(g0)[:, -1:] + diag
+
+    def grams(pos, col):
+        if k > d:
+            return g0[pos] + B.T[col][:, :, None] * B.T[col][:, None, :]
+        g = np.empty((pos.size, k, k))
+        g[:, :k - 1, :k - 1] = g0[pos]
+        g[:, :k - 1, k - 1] = g[:, k - 1, :k - 1] = cross[pos, :, col]   # k x (k-1) x c
+        g[:, k - 1, k - 1] = diag[col]
+        return g
+
+    def values(pos, col):  # one eigvalsh call per _CHUNK_BYTES of grams, and one if none
+        step = max(1, _CHUNK_BYTES // (8 * min(d, k) ** 2))
+        top = [np.linalg.eigvalsh(grams(pos[s:s + step], col[s:s + step]))[:, -1]
+               for s in range(0, pos.size or 1, step)]
+        return np.sqrt(np.maximum(np.concatenate(top), 0.0))
+
+    scouts = values(np.arange(k), np.argmax(bound, axis=1)).max()
+    floor = max(val + 1e-12, scouts - (k + 1) * 1e-12)
+    pos, col = np.nonzero(bound * (1.0 + _BOUND_SLACK) >= floor * floor)
+    return floor, pos, col, values(pos, col)
 
 
 def _exact_search(X: np.ndarray, k: int) -> tuple:
     """(value, support) of the largest k-column spectral norm, by enumeration.
 
     Supports are taken in lexicographic order, in chunks of at most
-    _EXACT_CHUNK_BYTES of submatrices and grams, each with one batched gram
+    _CHUNK_BYTES of submatrices and grams, each with one batched gram
     product and one batched eigvalsh call.  Ties go to the first support: the
     first argmax within a chunk, and a strict improvement across chunks.
     """
     d, m = X.shape
     g = min(d, k)
-    per_chunk = max(1, _EXACT_CHUNK_BYTES // (8 * (d * k + g * g)))
+    per_chunk = max(1, _CHUNK_BYTES // (8 * (d * k + g * g)))
     supports = combinations(range(m), k)
     best_val, best_sup = -1.0, None
     while True:
@@ -121,8 +130,7 @@ def _exact_search(X: np.ndarray, k: int) -> tuple:
 
 
 def _witness_vector(sub: np.ndarray, support, m: int) -> np.ndarray:
-    _, _, vt = np.linalg.svd(sub, full_matrices=False)
-    v = vt[0]
+    v = np.linalg.svd(sub, full_matrices=False)[2][0]
     pivot = int(np.argmax(np.abs(v)))
     if v[pivot] < 0:
         v = -v
@@ -139,8 +147,12 @@ class SparseSupremum:
     method: str                    # "exact" or "greedy"
 
 
+def _is_count(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _check_restarts(restarts: int) -> None:
-    if not (isinstance(restarts, (int, np.integer)) and restarts >= 1):
+    if not (_is_count(restarts) and restarts >= 1):
         raise ValueError("restarts must be an integer >= 1")
 
 
@@ -160,7 +172,7 @@ def sparse_supremum(
     """
     X = np.asarray(columns, dtype=float)
     d, m = X.shape
-    if not 1 <= k <= m:
+    if not (_is_count(k) and 1 <= k <= m):
         raise ValueError(f"sparsity k must be in [1, {m}]")
     _check_restarts(restarts)
     if not np.isfinite(X).all():
@@ -188,22 +200,17 @@ def sparse_supremum(
         support = sorted(int(i) for i in rng.choice(m, size=k, replace=False))
         val = _submatrix_smax(X[:, support])
         for _ in range(100):
-            in_support = np.zeros(m, dtype=bool)
-            in_support[support] = True
-            cand = np.flatnonzero(~in_support)
-            swap, swap_val = None, val
-            B = X[:, cand]  # nonempty: greedy runs only for k < m
-            diag = (B * B).sum(axis=0)
-            for i in support:
-                keep, vals = _swap_values(X, support, i, B, diag, swap_val + 1e-12)
-                if vals.size:
-                    jbest = int(np.argmax(vals))
-                    if vals[jbest] > swap_val + 1e-12:
-                        swap_val, swap = float(vals[jbest]), (i, int(cand[keep[jbest]]))
+            cand = np.delete(np.arange(m), support)  # nonempty: greedy runs only for k < m
+            _, pos, col, vals = _swap_round(X, support, cand, val)
+            swap = None
+            for p, (a, b) in enumerate(pairwise(np.searchsorted(pos, np.arange(k + 1)))):
+                if a < b:  # first improvement over positions, first maximum within one
+                    best = a + int(np.argmax(vals[a:b]))
+                    if vals[best] > val + 1e-12:
+                        val, swap = float(vals[best]), (support[p], int(cand[col[best]]))
             if swap is None:
                 break
             support = sorted([s for s in support if s != swap[0]] + [swap[1]])
-            val = swap_val
         sup_t = tuple(support)
         if val > best_val or (val == best_val and sup_t < best_sup):
             best_val, best_sup = val, sup_t
@@ -225,12 +232,11 @@ def _nested_greedy_profile(columns: np.ndarray, ks) -> dict:
     taken = np.zeros(m, dtype=bool)
     u = None
     out = {}
-    col_norms = np.linalg.norm(X, axis=0)
     count = 0
     for k_target in ks:
         while count < k_target:
             if count == 0:
-                j = int(np.argmax(col_norms))
+                j = int(np.argmax(np.linalg.norm(X, axis=0)))
             else:
                 scores = np.abs(u @ X)
                 scores[taken] = -1.0
@@ -238,8 +244,7 @@ def _nested_greedy_profile(columns: np.ndarray, ks) -> dict:
             taken[j] = True
             gram += np.outer(X[:, j], X[:, j])
             count += 1
-            w, v = np.linalg.eigh(gram)
-            u = v[:, -1]
+            u = np.linalg.eigh(gram)[1][:, -1]
         out[k_target] = math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
     return out
 

@@ -9,7 +9,7 @@ from dmlab.calibration import SPARSE_HEAVYTAIL_C, SPARSE_SUBGAUSSIAN_C
 from dmlab.ensembles import EnsembleSpec, sample_matrix
 from dmlab.events import (
     _submatrix_smax,
-    _swap_values,
+    _swap_round,
     _witness_vector,
     check_event_A,
     check_event_constants,
@@ -118,6 +118,20 @@ def test_sparse_validation():
         sparse_supremum(X, 2, method="magic")
 
 
+@pytest.mark.parametrize("k", [2.5, 2.0, True, np.float64(2.0), "2"])
+@pytest.mark.parametrize("method", ["greedy", "exact"])
+def test_sparse_supremum_rejects_a_k_that_is_not_an_integer(k, method):
+    X = np.random.default_rng(0).standard_normal((3, 8))
+    with pytest.raises(ValueError, match=r"sparsity k must be in \[1, 8\]"):
+        sparse_supremum(X, k, method=method)
+
+
+def test_sparse_supremum_takes_numpy_integers():
+    X = np.random.default_rng(0).standard_normal((3, 8))
+    got = sparse_supremum(X, np.int64(2), restarts=np.int32(3), seed=4)
+    _assert_bit_identical(got, _reference_greedy(X, 2, 3, 4))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("method", ["greedy", "exact"])
 def test_sparse_supremum_rejects_non_finite_columns(bad, method):
@@ -195,6 +209,10 @@ def _search_cases():
     rng = np.random.default_rng(8)
     gauss = rng.standard_normal((5, 40))
     dup = np.concatenate([gauss[:, :12], gauss[:, :12]], axis=1)  # exact value ties
+    # each column next to a copy moved by 1e-15 to 1e-13 relative, so swap
+    # values differ by about the 1e-12 acceptance margin
+    near = np.repeat(gauss[:, :12], 2, axis=1)
+    near[:, 1::2] *= 1 + rng.choice([-1, 1], 12) * 10 ** rng.uniform(-15, -13, 12)
     return {
         "k=1": (gauss, 1),
         "k<=d": (gauss, 4),
@@ -205,6 +223,7 @@ def _search_cases():
         "zero matrix": (np.zeros((4, 20)), 3),
         "heavy-tailed": (rng.standard_t(2.5, size=(6, 48)), 4),
         "heavy-tailed k>d": (rng.standard_t(2.5, size=(3, 30)), 5),
+        **{f"near ties k={k}": (near, k) for k in (2, 4, 5, 8)},
     }
 
 
@@ -223,12 +242,25 @@ def test_greedy_matches_reference_search_bit_for_bit(case):
         _assert_bit_identical(got, _reference_greedy(X, k, 6, seed))
 
 
-@pytest.mark.parametrize("chunk_bytes", [events._EXACT_CHUNK_BYTES, 1, 4096])
+def test_greedy_takes_the_earlier_swap_within_the_acceptance_margin():
+    # At a scale of 1e-4 the bound's 1e-9 relative slack is below the 1e-12
+    # acceptance margin.  From support (0, 1), swapping out column 0 for column
+    # 2 is worth about 5e-13 less than swapping out column 1; the first-
+    # improvement rule takes the earlier swap, so the floor must keep it.
+    X = 1e-4 * np.array([[1.0, 1.0 - 1e-7, 0.3], [0.0, 0.0, 1.6]])
+    start = np.random.default_rng(child_seed(6, 0)).choice(3, size=2, replace=False)
+    assert sorted(start) == [0, 1]
+    got = sparse_supremum(X, 2, restarts=1, seed=6)
+    assert got.support == (1, 2)
+    _assert_bit_identical(got, _reference_greedy(X, 2, 1, 6))
+
+
+@pytest.mark.parametrize("chunk_bytes", [events._CHUNK_BYTES, 1, 4096])
 @pytest.mark.parametrize("case", sorted(_search_cases()))
 def test_exact_matches_reference_enumeration_bit_for_bit(case, chunk_bytes, monkeypatch):
     # chunk_bytes 1 puts one support in each chunk, 4096 a few dozen, so ties
     # also meet across chunk boundaries
-    monkeypatch.setattr(events, "_EXACT_CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(events, "_CHUNK_BYTES", chunk_bytes)
     X, k = _search_cases()[case]
     X = X[:, :14]  # C(14, 9) = 2002 supports at most
     got = sparse_supremum(X, k, method="exact")
@@ -251,11 +283,6 @@ def test_greedy_on_event_sparse_shapes_keeps_its_supports(seed, support, value):
     _assert_bit_identical(got, _reference_greedy(X, 4, 20, seed))
 
 
-def _swap(X, support, i, cand, floor):
-    B = X[:, cand]
-    return _swap_values(X, support, i, B, (B * B).sum(axis=0), floor)
-
-
 @pytest.mark.parametrize("case", sorted(_search_cases()))
 def test_swap_bound_keeps_every_candidate_that_reaches_the_floor(case):
     X, k = _search_cases()[case]
@@ -264,25 +291,75 @@ def test_swap_bound_keeps_every_candidate_that_reaches_the_floor(case):
     for _ in range(3):
         support = sorted(int(s) for s in rng.choice(m, size=k, replace=False))
         cand = np.setdiff1d(np.arange(m), support)
-        for i in support:
-            ref = _reference_swap_values(X, support, i, cand)
-            for floor in np.unique(ref):
-                keep, vals = _swap(X, support, i, cand, float(floor))
-                assert set(np.flatnonzero(ref >= floor)) <= set(keep.tolist())
-                assert vals.tobytes() == ref[keep].tobytes()
+        ref = np.array([_reference_swap_values(X, support, i, cand) for i in support])
+        best = ref.max()
+        for val in (0.0, _submatrix_smax(X[:, support]), *np.quantile(ref, [0.5, 0.99]),
+                    best - 1e-12, best):
+            floor, pos, col, vals = _swap_round(X, support, cand, val)
+            # the scouts' best value is one of ref, so the floor is at most the
+            # round's best value less the (k + 1) * 1e-12 margin
+            assert val + 1e-12 <= floor <= max(val + 1e-12, best - (k + 1) * 1e-12)
+            reached = set(zip(*np.nonzero(ref >= floor)))
+            assert reached <= set(zip(pos.tolist(), col.tolist()))
+            assert vals.tobytes() == ref[pos, col].tobytes()
 
 
 def test_swap_bound_prunes_most_candidates_at_the_best_value():
+    # the scouts put the floor just below the round's best value, so of the
+    # 4 x 508 swaps only a few reach eigvalsh, the best one among them
     X = np.random.default_rng(9).standard_normal((16, 512))
     support = [3, 70, 200, 411]
     cand = np.setdiff1d(np.arange(512), support)
-    for i in support:
-        best = _reference_swap_values(X, support, i, cand).max()
-        keep, _ = _swap(X, support, i, cand, float(best))
-        assert 1 <= keep.size <= cand.size // 4
+    best = max(_reference_swap_values(X, support, i, cand).max() for i in support)
+    for val in (0.0, _submatrix_smax(X[:, support])):
+        _, pos, _, vals = _swap_round(X, support, cand, val)
+        assert 1 <= pos.size <= 8
+        assert vals.max() == best
 
 
-@pytest.mark.parametrize("restarts", [0, -1, 2.5])
+@pytest.mark.parametrize("chunk_bytes", [1, 1024])
+@pytest.mark.parametrize("case", ["k<=d", "k>d", "near ties k=4", "near ties k=8"])
+def test_swap_round_in_chunks_matches_reference_search_bit_for_bit(case, chunk_bytes,
+                                                                   monkeypatch):
+    # chunk_bytes 1 puts one gram in each eigvalsh call, 1024 a few; the rest
+    # grams go to one call whatever their size
+    X, k = _search_cases()[case]
+    ref = _reference_greedy(X, k, 6, 0)
+    monkeypatch.setattr(events, "_CHUNK_BYTES", chunk_bytes)
+    batches, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: batches.append(a.shape) or eigvalsh(a))
+    _assert_bit_identical(sparse_supremum(X, k, restarts=6, seed=0), ref)
+    g = min(k, X.shape[0])
+    step = max(1, chunk_bytes // (8 * g * g))
+    assert max(n for n, *shape in batches if shape == [g, g] and n != k) <= step
+
+
+# Largest mean kept grams per round over one draw, from a pilot on draws
+# 100-119 at 20 restarts: 0.73 (k = 2), 1.77 (k = 4) and 6.62 (k = 8).
+# Without the scouts' floor about 108 grams per round were kept at k = 4.
+@pytest.mark.parametrize("k, kept_bound", [(2, 1.5), (4, 3.0), (8, 10.0)])
+def test_swap_round_makes_three_eigvalsh_calls_and_keeps_few_grams(k, kept_bound,
+                                                                   monkeypatch):
+    calls, rounds = [], []
+    eigvalsh, swap_round = np.linalg.eigvalsh, events._swap_round
+
+    def counted_round(*args):
+        before = len(calls)
+        out = swap_round(*args)
+        rounds.append((len(calls) - before, out[1].size))
+        return out
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    monkeypatch.setattr(events, "_swap_round", counted_round)
+    for seed in range(4):  # the event_sparse shapes and column law
+        X = sample_matrix(EnsembleSpec("UniformIsotropic", 16, 512, vector_axis="cols"), seed)
+        first = len(rounds)
+        sparse_supremum(X, k, restarts=20, seed=seed)
+        assert {n for n, _ in rounds[first:]} == {3}
+        assert np.mean([kept for _, kept in rounds[first:]]) < kept_bound
+
+
+@pytest.mark.parametrize("restarts", [0, -1, 2.5, True, np.float64(3.0)])
 def test_sparse_supremum_rejects_bad_restarts(restarts):
     X = np.random.default_rng(0).standard_normal((3, 8))
     with pytest.raises(ValueError, match="restarts"):
