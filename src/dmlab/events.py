@@ -20,20 +20,19 @@ form of [[l1, |b_j|], [|b_j|, c_j]] at (|u|, |t|), so for k <= d
 
 and for k > d, by Weyl, lambda_max(S S^T + x_j x_j^T) <= l1 + c_j.
 
-Each round forms the k rest grams and cross products b_j with the products
-of the unpruned search and makes three batched eigvalsh calls: the rest
-grams' l1; the scouts, each position's candidate of largest bound, whose best
-value G0 is at most the round's best swap value G; and every swap whose bound,
-times 1 + 1e-9 for rounding, reaches floor^2, with
-floor = max(val + 1e-12, G0 - (k + 1) 1e-12).  To those values it applies the
-unpruned first-improvement rule, kept because it decides which of near-tied
-supports the search returns: positions in support order, the first maximum
-within a position, taken if it beats the running swap by more than 1e-12.  A
-swap below val + 1e-12 is never taken; one below G - (k + 1) 1e-12 moves the
-running value only within a window that rises by at most 1e-12 per position,
-while the round ends on a swap worth at least G - 1e-12, so the same last swap
-is taken.  eigvalsh treats each matrix of a batch on its own, and the search
-returns the same support, value and witness bit for bit.
+A round makes three batched eigvalsh calls: the k rest grams' l1; the scouts,
+each position's candidate of largest bound, whose best value G0 is at most
+the round's best swap value G; and the swaps whose bound, times 1 + 1e-9 for
+rounding, reaches floor^2 with floor = max(val + 1e-12, G0 - (k + 1) 1e-12).
+Grams are built from the products of the unpruned search, and eigvalsh
+treats each matrix of a batch on its own.  The round keeps the unpruned
+first-improvement rule, since it decides which of near-tied supports the
+search returns: positions in support order, the first maximum within one,
+taken if it beats the running swap by more than 1e-12.  A pruned swap lies
+below val + 1e-12 and is never taken, or below G - (k + 1) 1e-12, where it
+moves the running value only within a window that rises by at most 1e-12 per
+position, while the round ends on a swap worth at least G - 1e-12; so the
+search returns the same support, value and witness bit for bit.
 """
 
 from __future__ import annotations
@@ -130,7 +129,8 @@ def _exact_search(X: np.ndarray, k: int) -> tuple:
 
 
 def _witness_vector(sub: np.ndarray, support, m: int) -> np.ndarray:
-    v = np.linalg.svd(sub, full_matrices=False)[2][0]
+    _, _, vt = np.linalg.svd(sub, full_matrices=False)
+    v = vt[0]
     pivot = int(np.argmax(np.abs(v)))
     if v[pivot] < 0:
         v = -v
@@ -147,13 +147,9 @@ class SparseSupremum:
     method: str                    # "exact" or "greedy"
 
 
-def _is_count(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
-def _check_restarts(restarts: int) -> None:
-    if not (_is_count(restarts) and restarts >= 1):
-        raise ValueError("restarts must be an integer >= 1")
+def _check_count(x, low, high, message: str) -> None:
+    if isinstance(x, bool) or not (isinstance(x, (int, np.integer)) and low <= x <= high):
+        raise ValueError(message)
 
 
 def sparse_supremum(
@@ -172,9 +168,8 @@ def sparse_supremum(
     """
     X = np.asarray(columns, dtype=float)
     d, m = X.shape
-    if not (_is_count(k) and 1 <= k <= m):
-        raise ValueError(f"sparsity k must be in [1, {m}]")
-    _check_restarts(restarts)
+    _check_count(k, 1, m, f"sparsity k must be in [1, {m}]")
+    _check_count(restarts, 1, math.inf, "restarts must be an integer >= 1")
     if not np.isfinite(X).all():
         raise ValueError("columns must be finite")
 
@@ -232,11 +227,12 @@ def _nested_greedy_profile(columns: np.ndarray, ks) -> dict:
     taken = np.zeros(m, dtype=bool)
     u = None
     out = {}
+    col_norms = np.linalg.norm(X, axis=0)
     count = 0
     for k_target in ks:
         while count < k_target:
             if count == 0:
-                j = int(np.argmax(np.linalg.norm(X, axis=0)))
+                j = int(np.argmax(col_norms))
             else:
                 scores = np.abs(u @ X)
                 scores[taken] = -1.0
@@ -244,7 +240,8 @@ def _nested_greedy_profile(columns: np.ndarray, ks) -> dict:
             taken[j] = True
             gram += np.outer(X[:, j], X[:, j])
             count += 1
-            u = np.linalg.eigh(gram)[1][:, -1]
+            w, v = np.linalg.eigh(gram)
+            u = v[:, -1]
         out[k_target] = math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
     return out
 
@@ -261,7 +258,7 @@ class EventReport:
 
 def check_event_constants(kappa1: float, delta: float, theta: float, restarts: int) -> None:
     """Raise ValueError unless check_event_A accepts these constants."""
-    _check_restarts(restarts)
+    _check_count(restarts, 1, math.inf, "restarts must be an integer >= 1")
     if not 0.0 < theta < 0.25:
         raise ValueError("theta must be in (0, 1/4)")
     if not 0.0 < delta < 0.25:
