@@ -23,11 +23,13 @@ and for k > d, by Weyl, lambda_max(S S^T + x_j x_j^T) <= l1 + c_j.
 A round makes three batched eigvalsh calls: the k rest grams' l1; the scouts,
 each position's candidate of largest bound, whose best value G0 is at most
 the round's best swap value G; and the swaps whose bound, times 1 + 1e-9 for
-rounding, reaches floor^2 with floor = max(val + 1e-12, G0 - (k + 1) 1e-12).
-Grams are built from the products of the unpruned search, and eigvalsh
-treats each matrix of a batch on its own.  The round keeps the unpruned
-first-improvement rule, since it decides which of near-tied supports the
-search returns: positions in support order, the first maximum within one,
+rounding, reaches floor^2 with floor = max(val + 1e-12, G0 - (k + 1) 1e-12),
+in chunks of _CHUNK_BYTES.  At k = 1 the rest gram is empty and the swaps'
+grams are 1 x 1, cheaper than a scouts' call, so only the last call is made,
+with G0 = 0.  Grams are built from the products of the unpruned search, and
+eigvalsh treats each matrix of a batch on its own.  The round keeps the
+unpruned first-improvement rule, since it decides which of near-tied supports
+the search returns: positions in support order, the first maximum within one,
 taken if it beats the running swap by more than 1e-12.  A pruned swap lies
 below val + 1e-12 and is never taken, or below G - (k + 1) 1e-12, where it
 moves the running value only within a window that rises by at most 1e-12 per
@@ -74,7 +76,7 @@ def _swap_round(X: np.ndarray, support: list, cand: np.ndarray, val: float) -> t
     subs = (X[:, [s for s in support if s != i]] for i in support)    # k of d x (k-1)
     if k <= d:
         g0, cross = map(np.array, zip(*((sub.T @ sub, sub.T @ B) for sub in subs)))
-        lam = np.linalg.eigvalsh(g0)[:, -1:] if k > 1 else np.zeros((1, 1))
+        lam = np.linalg.eigvalsh(g0)[:, -1:] if k > 1 else 0.0
         bound = 0.5 * (lam + diag) + np.sqrt(0.25 * (lam - diag) ** 2
                                              + (cross * cross).sum(axis=1))
     else:
@@ -86,7 +88,7 @@ def _swap_round(X: np.ndarray, support: list, cand: np.ndarray, val: float) -> t
             return g0[pos] + B.T[col][:, :, None] * B.T[col][:, None, :]
         g = np.empty((pos.size, k, k))
         g[:, :k - 1, :k - 1] = g0[pos]
-        g[:, :k - 1, k - 1] = g[:, k - 1, :k - 1] = cross[pos, :, col]   # k x (k-1) x c
+        g[:, :k - 1, k - 1] = g[:, k - 1, :k - 1] = cross[pos, :, col]
         g[:, k - 1, k - 1] = diag[col]
         return g
 
@@ -96,7 +98,7 @@ def _swap_round(X: np.ndarray, support: list, cand: np.ndarray, val: float) -> t
                for s in range(0, pos.size or 1, step)]
         return np.sqrt(np.maximum(np.concatenate(top), 0.0))
 
-    scouts = values(np.arange(k), np.argmax(bound, axis=1)).max()
+    scouts = values(np.arange(k), np.argmax(bound, axis=1)).max() if k > 1 else 0.0
     floor = max(val + 1e-12, scouts - (k + 1) * 1e-12)
     pos, col = np.nonzero(bound * (1.0 + _BOUND_SLACK) >= floor * floor)
     return floor, pos, col, values(pos, col)

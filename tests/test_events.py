@@ -210,7 +210,7 @@ def _search_cases():
     gauss = rng.standard_normal((5, 40))
     dup = np.concatenate([gauss[:, :12], gauss[:, :12]], axis=1)  # exact value ties
     # each column next to a copy moved by 1e-15 to 1e-13 relative, so swap
-    # values differ by about the 1e-12 acceptance margin
+    # values differ by less than the 1e-12 acceptance margin
     near = np.repeat(gauss[:, :12], 2, axis=1)
     near[:, 1::2] *= 1 + rng.choice([-1, 1], 12) * 10 ** rng.uniform(-15, -13, 12)
     return {
@@ -335,8 +335,8 @@ def test_swap_round_in_chunks_matches_reference_search_bit_for_bit(case, chunk_b
 
 
 # Largest mean kept grams per round over one draw, from a pilot on draws
-# 100-119 at 20 restarts: 0.73 (k = 2), 1.77 (k = 4) and 6.62 (k = 8).
-# Without the scouts' floor about 108 grams per round were kept at k = 4.
+# 100-119 at 20 restarts: 0.73 (k = 2), 1.77 (k = 4) and 6.62 (k = 8), of
+# k (512 - k) swaps per round.
 @pytest.mark.parametrize("k, kept_bound", [(2, 1.5), (4, 3.0), (8, 10.0)])
 def test_swap_round_makes_three_eigvalsh_calls_and_keeps_few_grams(k, kept_bound,
                                                                    monkeypatch):
