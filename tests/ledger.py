@@ -46,9 +46,11 @@ REL_TOL = 1e-6  # cell comparison on another platform: |a - b| <= REL_TOL max(|a
 
 # Paths that no config above reaches: the multi-start ascent and descent on
 # LpBall(inf) and on a PolarPolytope, process suprema at a set size that is
-# not a multiple of 16 (where a row-blocked GEMM may round differently), and
-# the greedy sparse search with more support columns than rows
-# (floor(theta m) = 6 > d = 4), where the swap bound is Weyl's.
+# not a multiple of 16 (where a row-blocked GEMM may round differently), the
+# greedy sparse search with more support columns than rows
+# (floor(theta m) = 6 > d = 4), where the swap search keeps d x d rest grams,
+# and event A at floor(theta m) = 1, where the sparse supremum is the largest
+# column norm.
 EXTRA_CFGS = {
     "multistart-linf": {
         "experimentKind": "gaussianDM", "body": {"kind": "LpBall", "p": "inf"},
@@ -74,6 +76,12 @@ EXTRA_CFGS = {
         "mRule": {"rule": "fixed", "m": 64}, "trials": 3,
         "ensembles": {"col": "LogConcaveSimplex"},
         "constants": {"theta": 6.5 / 64, "delta": 0.2, "kappa1": 2.0, "restarts": 4},
+    },
+    "event-k-one": {
+        "experimentKind": "eventAFrequency", "body": {"kind": "LpBall", "p": 2},
+        "schedule": [64], "dRule": {"rule": "fixed", "d": 8},
+        "mRule": {"rule": "fixed", "m": 64}, "trials": 3,
+        "constants": {"theta": 1.5 / 64, "delta": 0.2, "kappa1": 2.0, "restarts": 4},
     },
 }
 
