@@ -4,32 +4,30 @@ The central check: a d x m column matrix passes the embedding event when its
 operator norm stays below kappa1 * sqrt(m) and the supremum of ||sum a_i X_i||
 over unit vectors a with at most floor(theta * m) nonzero entries stays below
 delta * sqrt(m).  The sparse supremum equals the largest spectral norm over
-k-column submatrices, an NP-hard quantity in general: it is computed exactly
-by enumeration when the support count permits and otherwise estimated by
-steepest single-swap local search with restarts.  Greedy numbers are lower
+k-column submatrices, an NP-hard quantity in general: it is enumerated at
+k = 1, at k = m and while the support count permits, and otherwise estimated
+by steepest single-swap local search with restarts.  Greedy numbers are lower
 bounds, so a violation found by greedy is conclusive while a confirmation is
 heuristic; every report records which method produced each number.
 
-The swap search prunes its candidates by a closed-form bound.
+The swap search prunes its candidates by one closed-form bound at every k.
 Replacing column i of the support by column j gives the gram of S = X[:, rest]
 bordered by x_j.  With l1 = lambda_max(S^T S), b_j = S^T x_j and c_j = |x_j|^2,
 the unit vector (u, t) gives u^T S^T S u + 2t b_j^T u + c_j t^2, at most the
-form of [[l1, |b_j|], [|b_j|, c_j]] at (|u|, |t|), so for k <= d
+form of [[l1, |b_j|], [|b_j|, c_j]] at (|u|, |t|), so
 
-    lambda_max <= (l1 + c_j)/2 + sqrt((l1 - c_j)^2/4 + |b_j|^2),
+    lambda_max <= (l1 + c_j)/2 + sqrt((l1 - c_j)^2/4 + |b_j|^2).
 
-and for k > d, by Weyl, lambda_max(S S^T + x_j x_j^T) <= l1 + c_j.
-
-A round makes three batched eigvalsh calls: the k rest grams' l1; the scouts,
-each position's candidate of largest bound, whose best value G0 is at most
-the round's best swap value G; and the swaps whose bound, times 1 + 1e-9 for
-rounding, reaches floor^2 with floor = max(val + 1e-12, G0 - (k + 1) 1e-12),
-in chunks of _CHUNK_BYTES.  At k = 1 the rest gram is empty and the swaps'
-grams are 1 x 1, cheaper than a scouts' call, so only the last call is made,
-with G0 = 0.  Grams are built from the products of the unpruned search, and
-eigvalsh treats each matrix of a batch on its own.  The round keeps the
-unpruned first-improvement rule, since it decides which of near-tied supports
-the search returns: positions in support order, the first maximum within one,
+For k > d the search keeps the d x d grams S S^T and S S^T + x_j x_j^T, which
+have the same nonzero eigenvalues.  A round makes three batched eigvalsh
+calls: the k rest grams' l1; the scouts, each position's candidate of
+largest bound, whose best value G0 is at most the round's best swap value G;
+and the swaps whose bound, times 1 + 1e-9 for rounding, reaches floor^2 with
+floor = max(val + 1e-12, G0 - (k + 1) 1e-12), in chunks of _CHUNK_BYTES.
+Grams are built from the products of the unpruned search, and eigvalsh
+treats each matrix of a batch on its own.  The round keeps the unpruned
+first-improvement rule, since it decides which of near-tied supports the
+search returns: positions in support order, the first maximum within one,
 taken if it beats the running swap by more than 1e-12.  A pruned swap lies
 below val + 1e-12 and is never taken, or below G - (k + 1) 1e-12, where it
 moves the running value only within a window that rises by at most 1e-12 per
@@ -73,15 +71,15 @@ def _swap_round(X: np.ndarray, support: list, cand: np.ndarray, val: float) -> t
     """
     B, d, k = X[:, cand], X.shape[0], len(support)
     diag = (B * B).sum(axis=0)
-    subs = (X[:, [s for s in support if s != i]] for i in support)    # k of d x (k-1)
+    subs = [X[:, [s for s in support if s != i]] for i in support]    # k of d x (k-1)
     if k <= d:
         g0, cross = map(np.array, zip(*((sub.T @ sub, sub.T @ B) for sub in subs)))
-        lam = np.linalg.eigvalsh(g0)[:, -1:] if k > 1 else 0.0
-        bound = 0.5 * (lam + diag) + np.sqrt(0.25 * (lam - diag) ** 2
-                                             + (cross * cross).sum(axis=1))
+        b2 = (cross * cross).sum(axis=1)
     else:
         g0 = np.array([sub @ sub.T for sub in subs])                    # k x d x d
-        bound = np.linalg.eigvalsh(g0)[:, -1:] + diag
+        b2 = np.array([np.square(sub.T @ B).sum(axis=0) for sub in subs])
+    lam = np.linalg.eigvalsh(g0)[:, -1:]
+    bound = 0.5 * (lam + diag) + np.sqrt(0.25 * (lam - diag) ** 2 + b2)
 
     def grams(pos, col):
         if k > d:
@@ -98,7 +96,7 @@ def _swap_round(X: np.ndarray, support: list, cand: np.ndarray, val: float) -> t
                for s in range(0, pos.size or 1, step)]
         return np.sqrt(np.maximum(np.concatenate(top), 0.0))
 
-    scouts = values(np.arange(k), np.argmax(bound, axis=1)).max() if k > 1 else 0.0
+    scouts = values(np.arange(k), np.argmax(bound, axis=1)).max()
     floor = max(val + 1e-12, scouts - (k + 1) * 1e-12)
     pos, col = np.nonzero(bound * (1.0 + _BOUND_SLACK) >= floor * floor)
     return floor, pos, col, values(pos, col)
@@ -146,12 +144,21 @@ class SparseSupremum:
     value: float
     witness: np.ndarray
     support: tuple
-    method: str                    # "exact" or "greedy"
+    method: str                    # "exact" (enumerated, always at k = 1 and m) or "greedy"
 
 
 def _check_count(x, low, high, message: str) -> None:
     if isinstance(x, bool) or not (isinstance(x, (int, np.integer)) and low <= x <= high):
         raise ValueError(message)
+
+
+def _as_columns(columns) -> np.ndarray:
+    X = np.asarray(columns, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"columns must be a d x m matrix, not {X.ndim}-dimensional")
+    if not np.isfinite(X).all():
+        raise ValueError("columns must be finite")
+    return X
 
 
 def sparse_supremum(
@@ -166,84 +173,70 @@ def sparse_supremum(
     exact enumerates every size-k support (allowed while C(m, k) <= 1e6) and
     breaks value ties toward the lexicographically smallest support; greedy
     runs `restarts` rounds of random support followed by steepest single-swap
-    ascent and reports the best local optimum found (a lower bound).
+    ascent and reports the best local optimum found (a lower bound).  At k = 1
+    (m supports) and k = m (one support) every call enumerates, and the
+    result is exact whatever `method` says.
     """
-    X = np.asarray(columns, dtype=float)
-    d, m = X.shape
+    if method not in ("exact", "greedy"):
+        raise ValueError(f"unknown method {method!r}")
+    X = _as_columns(columns)
+    m = X.shape[1]
     _check_count(k, 1, m, f"sparsity k must be in [1, {m}]")
     _check_count(restarts, 1, math.inf, "restarts must be an integer >= 1")
-    if not np.isfinite(X).all():
-        raise ValueError("columns must be finite")
 
-    if k == m:
-        value = singular_extremes(X)[1]
-        return SparseSupremum(value, _witness_vector(X, range(m), m),
-                              tuple(range(m)), "exact")
-
-    if method == "exact":
-        if math.comb(m, k) > 10**6:
-            raise ValueError(
-                f"C({m},{k}) supports exceed the exact enumeration budget; use greedy")
+    if method == "exact" or k in (1, m):
+        if 1 < k < m and math.comb(m, k) > 10**6:
+            raise ValueError(f"C({m},{k}) supports exceed the enumeration budget; use greedy")
         best_val, best_sup = _exact_search(X, k)
-        return SparseSupremum(best_val, _witness_vector(X[:, best_sup], best_sup, m),
-                              best_sup, "exact")
-
-    if method != "greedy":
-        raise ValueError(f"unknown method {method!r}")
-
-    best_val, best_sup = -1.0, None
-    for r in range(restarts):
-        rng = np.random.default_rng(child_seed(seed, r))
-        support = sorted(int(i) for i in rng.choice(m, size=k, replace=False))
-        val = _submatrix_smax(X[:, support])
-        for _ in range(100):
-            cand = np.delete(np.arange(m), support)  # nonempty: greedy runs only for k < m
-            _, pos, col, vals = _swap_round(X, support, cand, val)
-            swap = None
-            for p, (a, b) in enumerate(pairwise(np.searchsorted(pos, np.arange(k + 1)))):
-                if a < b:  # first improvement over positions, first maximum within one
-                    best = a + int(np.argmax(vals[a:b]))
-                    if vals[best] > val + 1e-12:
-                        val, swap = float(vals[best]), (support[p], int(cand[col[best]]))
-            if swap is None:
-                break
-            support = sorted([s for s in support if s != swap[0]] + [swap[1]])
-        sup_t = tuple(support)
-        if val > best_val or (val == best_val and sup_t < best_sup):
-            best_val, best_sup = val, sup_t
+        method = "exact"
+    else:
+        best_val, best_sup = -1.0, None
+        for r in range(restarts):
+            rng = np.random.default_rng(child_seed(seed, r))
+            support = sorted(int(i) for i in rng.choice(m, size=k, replace=False))
+            val = _submatrix_smax(X[:, support])
+            for _ in range(100):
+                cand = np.delete(np.arange(m), support)  # nonempty, since k < m
+                _, pos, col, vals = _swap_round(X, support, cand, val)
+                swap = None
+                for p, (a, b) in enumerate(pairwise(np.searchsorted(pos, np.arange(k + 1)))):
+                    if a < b:  # first improvement over positions, first maximum within one
+                        best = a + int(np.argmax(vals[a:b]))
+                        if vals[best] > val + 1e-12:
+                            val, swap = float(vals[best]), (support[p], int(cand[col[best]]))
+                if swap is None:
+                    break
+                support = sorted([s for s in support if s != swap[0]] + [swap[1]])
+            sup_t = tuple(support)
+            if val > best_val or (val == best_val and sup_t < best_sup):
+                best_val, best_sup = val, sup_t
     return SparseSupremum(best_val, _witness_vector(X[:, list(best_sup)], best_sup, m),
-                          best_sup, "greedy")
+                          best_sup, method)
 
 
-def _nested_greedy_profile(columns: np.ndarray, ks) -> dict:
+def _nested_greedy_profile(X: np.ndarray, ks) -> dict:
     """Monotone lower-bound profile k -> sparse supremum via nested column growth.
 
     Columns are added one at a time, each chosen to maximize alignment with
     the running top left-singular direction; nested supports make the profile
     nondecreasing by construction.
     """
-    X = np.asarray(columns, dtype=float)
     d, m = X.shape
     ks = sorted(set(int(k) for k in ks))
     gram = np.zeros((d, d))
     taken = np.zeros(m, dtype=bool)
     u = None
     out = {}
-    col_norms = np.linalg.norm(X, axis=0)
     count = 0
     for k_target in ks:
-        while count < k_target:
-            if count == 0:
-                j = int(np.argmax(col_norms))
-            else:
-                scores = np.abs(u @ X)
-                scores[taken] = -1.0
-                j = int(np.argmax(scores))
+        while count < k_target:  # the first column is the one of largest norm
+            scores = np.abs(u @ X) if count else np.linalg.norm(X, axis=0)
+            scores[taken] = -1.0
+            j = int(np.argmax(scores))
             taken[j] = True
             gram += np.outer(X[:, j], X[:, j])
             count += 1
-            w, v = np.linalg.eigh(gram)
-            u = v[:, -1]
+            u = np.linalg.eigh(gram)[1][:, -1]
         out[k_target] = math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
     return out
 
@@ -253,7 +246,7 @@ class EventReport:
     lambda_min: float              # sigma_min(Gamma2) / sqrt(m)
     lambda_max: float              # sigma_max(Gamma2) / sqrt(m), the measured kappa1
     sparse_sup: dict               # k -> estimate (monotone in k)
-    sparse_methods: dict           # k -> "exact" | "greedy"
+    sparse_methods: dict           # k -> "exact" (k = 1, k = m, enumerated k_event) | "greedy"
     k_event: int                   # floor(theta * m); 0 means the constraint is vacuous
     event_a_holds: bool
 
@@ -282,11 +275,11 @@ def check_event_A(
     The sparse condition constrains unit vectors with at most floor(theta*m)
     nonzero entries; when floor(theta*m) = 0 only the zero vector qualifies
     and the condition holds vacuously (the map still reports k=1 for
-    information).  The report's sparse profile covers a log-spaced k grid
-    with running-max monotonicity and an exact endpoint at k=m.
+    information).  The sparse profile covers a log-spaced k grid with running
+    maxima; its entries at k=1, k=m and an enumerated k_event are exact.
     """
     check_event_constants(kappa1, delta, theta, restarts)
-    X = np.asarray(gamma2, dtype=float)
+    X = _as_columns(gamma2)
     _, m = X.shape
     sqrt_m = math.sqrt(m)
 
@@ -301,7 +294,7 @@ def check_event_A(
     values, methods = {}, {}
     running = 0.0
     for k in grid:
-        val, tag = (smax, "exact") if k == m else (profile[k], "greedy")
+        val, tag = (smax, "exact") if k == m else (profile[k], "exact" if k == 1 else "greedy")
         if k == k_main and main.value >= val:
             val, tag = main.value, main.method
         running = max(running, val)

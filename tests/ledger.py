@@ -16,7 +16,7 @@ LEDGER defaults to `tests/golden/ledger.json`.  Where the platform matches the
 ledger's, `check` compares bytes; elsewhere it compares every numeric cell of
 the CSVs and summaries at relative tolerance `REL_TOL`.  It prints which
 comparison it ran and, on a mismatch, the largest relative move per CSV
-column, and exits 1.
+column over all runs and each differing run's moved columns, and exits 1.
 """
 
 from __future__ import annotations
@@ -214,15 +214,17 @@ def compare(ledger: dict, records: dict) -> tuple[str, bool, list]:
     failed = [name for name, rec in records.items() if rec["failures"]]
     changed = {k: [name for name in runs if runs[name][k] != records[name][k]]
                for k in ("csv_sha256", "summary_sha256")}
-    notes, moves, summary_move = {}, {}, 0.0
+    notes, moves, summary_move, per_run = {}, {}, 0.0, {}
     for name in runs:
-        for col, move in _csv_moves(runs[name]["csv"], records[name]["csv"]).items():
+        run_moves = _csv_moves(runs[name]["csv"], records[name]["csv"])
+        for col, move in run_moves.items():
             if isinstance(move, str):
                 notes[col] = move
             else:
                 moves[col] = max(moves.get(col, 0.0), move)
-        summary_move = max(summary_move, _summary_move(runs[name]["summary"],
-                                                       records[name]["summary"]))
+        run_summary = _summary_move(runs[name]["summary"], records[name]["summary"])
+        summary_move = max(summary_move, run_summary)
+        per_run[name] = (run_moves, run_summary)
     within = not notes and max([summary_move, *moves.values()]) <= REL_TOL
     moved = any(changed.values())
     ok = not failed and (not moved if by_bytes else within)
@@ -237,6 +239,13 @@ def compare(ledger: dict, records: dict) -> tuple[str, bool, list]:
         lines += [f"  {col}: {note}" for col, note in notes.items()]
         lines += [f"  {col}: {move:.3g}" for col, move in moves.items() if col not in notes]
         lines.append(f"largest relative move of a summary field: {summary_move:.3g}")
+        lines.append("moves per differing run:")
+        for name, (run_moves, run_summary) in per_run.items():
+            cols = [f"{col} {move if isinstance(move, str) else f'{move:.3g}'}"
+                    for col, move in run_moves.items() if move]
+            cols += [f"summary {run_summary:.3g}"] if run_summary else []
+            if cols:
+                lines.append(f"  {name}: {', '.join(cols)}")
     return mode, ok, lines
 
 

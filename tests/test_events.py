@@ -118,6 +118,30 @@ def test_sparse_validation():
         sparse_supremum(X, 2, method="magic")
 
 
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_sparse_supremum_rejects_an_unknown_method_at_every_k(k):
+    # k = 1 and k = m enumerate whatever the method; an unknown one is still an error
+    with pytest.raises(ValueError, match="unknown method 'magic'"):
+        sparse_supremum(np.zeros((3, 5)), k, method="magic")
+
+
+@pytest.mark.parametrize("columns, match", [
+    (np.where(np.arange(24).reshape(3, 8) == 13, np.nan, 1.0), "columns must be finite"),
+    (np.ones(8), "columns must be a d x m matrix, not 1-dimensional"),
+    (np.ones((2, 3, 8)), "columns must be a d x m matrix, not 3-dimensional"),
+])
+def test_bad_columns_are_rejected_before_any_svd(columns, match, monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    with pytest.raises(ValueError, match=match):
+        check_event_A(columns, kappa1=2.0, delta=0.2, theta=0.2)
+    for k in (1, 2):
+        with pytest.raises(ValueError, match=match):
+            sparse_supremum(columns, k)
+
+
 @pytest.mark.parametrize("k", [2.5, 2.0, True, np.float64(2.0), "2"])
 @pytest.mark.parametrize("method", ["greedy", "exact"])
 def test_sparse_supremum_rejects_a_k_that_is_not_an_integer(k, method):
@@ -215,6 +239,7 @@ def _search_cases():
     near[:, 1::2] *= 1 + rng.choice([-1, 1], 12) * 10 ** rng.uniform(-15, -13, 12)
     return {
         "k=1": (gauss, 1),
+        "k=m": (gauss[:, :9], 9),
         "k<=d": (gauss, 4),
         "k=d": (gauss, 5),
         "k>d": (gauss, 9),
@@ -239,7 +264,11 @@ def test_greedy_matches_reference_search_bit_for_bit(case):
     X, k = _search_cases()[case]
     for seed in (0, 1):
         got = sparse_supremum(X, k, method="greedy", restarts=6, seed=seed)
-        _assert_bit_identical(got, _reference_greedy(X, k, 6, seed))
+        if k in (1, X.shape[1]):  # m supports or one: greedy enumerates them
+            assert got.method == "exact"
+            _assert_bit_identical(got, _reference_exact(X, k))
+        else:
+            _assert_bit_identical(got, _reference_greedy(X, k, 6, seed))
 
 
 def test_greedy_takes_the_earlier_swap_within_the_acceptance_margin():
@@ -283,7 +312,8 @@ def test_greedy_on_event_sparse_shapes_keeps_its_supports(seed, support, value):
     _assert_bit_identical(got, _reference_greedy(X, 4, 20, seed))
 
 
-@pytest.mark.parametrize("case", sorted(_search_cases()))
+@pytest.mark.parametrize("case", sorted(c for c, (X, k) in _search_cases().items()
+                                         if 1 < k < X.shape[1]))  # the swap search's k
 def test_swap_bound_keeps_every_candidate_that_reaches_the_floor(case):
     X, k = _search_cases()[case]
     m = X.shape[1]
@@ -335,11 +365,13 @@ def test_swap_round_in_chunks_matches_reference_search_bit_for_bit(case, chunk_b
 
 
 # Largest mean kept grams per round over one draw, from a pilot on draws
-# 100-119 at 20 restarts: 0.73 (k = 2), 1.77 (k = 4) and 6.62 (k = 8), of
-# k (512 - k) swaps per round.
-@pytest.mark.parametrize("k, kept_bound", [(2, 1.5), (4, 3.0), (8, 10.0)])
+# 100-119: 0.73 (k = 2), 1.77 (k = 4) and 6.62 (k = 8) of k (512 - k) swaps
+# per round at d = 16 and 20 restarts, and 22.9 of 12 x 116 at
+# (d, m, k) = (8, 128, 12) and 4 restarts, where the rest grams are d x d.
+@pytest.mark.parametrize("k, kept_bound", [(2, 1.5), (4, 3.0), (8, 10.0), (12, 45.0)])
 def test_swap_round_makes_three_eigvalsh_calls_and_keeps_few_grams(k, kept_bound,
                                                                    monkeypatch):
+    d, m, restarts = (16, 512, 20) if k <= 8 else (8, 128, 4)
     calls, rounds = [], []
     eigvalsh, swap_round = np.linalg.eigvalsh, events._swap_round
 
@@ -351,10 +383,10 @@ def test_swap_round_makes_three_eigvalsh_calls_and_keeps_few_grams(k, kept_bound
 
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
     monkeypatch.setattr(events, "_swap_round", counted_round)
-    for seed in range(4):  # the event_sparse shapes and column law
-        X = sample_matrix(EnsembleSpec("UniformIsotropic", 16, 512, vector_axis="cols"), seed)
+    for seed in range(4):  # the event_sparse column law
+        X = sample_matrix(EnsembleSpec("UniformIsotropic", d, m, vector_axis="cols"), seed)
         first = len(rounds)
-        sparse_supremum(X, k, restarts=20, seed=seed)
+        sparse_supremum(X, k, restarts=restarts, seed=seed)
         assert {n for n, _ in rounds[first:]} == {3}
         assert np.mean([kept for _, kept in rounds[first:]]) < kept_bound
 
@@ -403,6 +435,15 @@ def test_event_profile_monotone_and_exact_endpoint():
     assert rep.sparse_sup[64] == pytest.approx(rep.lambda_max * 8.0, rel=1e-12)
     assert rep.sparse_methods[64] == "exact"
     assert rep.k_event == int(0.2 * 64)
+
+
+@pytest.mark.parametrize("theta, k_event", [(1.5 / 64, 1), (0.2, 12)])
+def test_event_tags_the_largest_column_norm_exact(theta, k_event):
+    X = sample_matrix(EnsembleSpec("UniformIsotropic", 8, 64, vector_axis="cols"), 5)
+    rep = check_event_A(X, kappa1=2.0, delta=0.2, theta=theta, seed=1)
+    assert rep.k_event == k_event
+    assert rep.sparse_methods[1] == "exact"
+    assert rep.sparse_sup[1] == pytest.approx(np.linalg.norm(X, axis=0).max(), rel=1e-12)
 
 
 def test_event_vacuous_sparsity_reduces_to_operator_norm():

@@ -36,17 +36,26 @@ def test_ledger_reports_the_largest_move_per_column():
     assert ledger._move("inf", "inf") == 0.0 and ledger._move("nan", "nan") == 0.0
 
 
-def _record(cell, sha):
+def _record(cell, sha, column="x"):
     return {"csv_sha256": sha, "summary_sha256": "s", "failures": 0,
-            "csv": [["x"], [cell]], "summary": {"v": [1.0]}}
+            "csv": [[column], [cell]], "summary": {"v": [1.0]}}
 
 
 def test_ledger_compares_cells_at_a_tolerance_only_on_another_platform():
-    recorded = {"platform": {"numpy": "0.0"}, "runs": {"r": _record("1.0", "a")}}
-    mode, ok, _ = ledger.compare(recorded, {"r": _record("1.0000000001", "b")})
+    recorded = {"platform": {"numpy": "0.0"},
+                "runs": {"r": _record("1.0", "a"), "q": _record("2.0", "c", "y"),
+                         "u": _record("3.0", "e")}}
+    mode, ok, _ = ledger.compare(recorded, {"r": _record("1.0000000001", "b"),
+                                            "q": _record("2.0", "c", "y"),
+                                            "u": _record("3.0", "e")})
     assert mode.startswith("numeric cells at relative tolerance 1e-06") and ok
-    _, ok, lines = ledger.compare(recorded, {"r": _record("1.001", "b")})
-    assert not ok and "  x: 0.000999" in lines
+    _, ok, lines = ledger.compare(recorded, {"r": _record("1.001", "b"),
+                                             "q": _record("2.004", "d", "y"),
+                                             "u": _record("3.0", "e")})
+    assert not ok and "  x: 0.000999" in lines and "  y: 0.002" in lines
+    per_run = lines[lines.index("moves per differing run:") + 1:]
+    assert per_run == ["  r: x 0.000999", "  q: y 0.002"]
     mode, ok, _ = ledger.compare({**recorded, "platform": ledger.platform_facts()},
-                                 {"r": _record("1.0000000001", "b")})
+                                 {"r": _record("1.0000000001", "b"),
+                                  "q": _record("2.0", "c", "y"), "u": _record("3.0", "e")})
     assert mode.startswith("bytes") and not ok
