@@ -154,8 +154,8 @@ def _check_count(x, low, high, message: str) -> None:
 
 def _as_columns(columns) -> np.ndarray:
     X = np.asarray(columns, dtype=float)
-    if X.ndim != 2:
-        raise ValueError(f"columns must be a d x m matrix, not {X.ndim}-dimensional")
+    if X.ndim != 2 or X.size == 0:
+        raise ValueError(f"columns must be a nonempty d x m matrix, not of shape {X.shape}")
     if not np.isfinite(X).all():
         raise ValueError("columns must be finite")
     return X
