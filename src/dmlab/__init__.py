@@ -27,7 +27,7 @@ from dmlab.processes import (
     index_set,
     sudakov_lower,
 )
-from dmlab.events import check_event_A, singular_extremes, sparse_supremum
+from dmlab.events import check_event_A, singular_extremes, sparse_profile, sparse_supremum
 from dmlab.distortion import adversarial_linf_witness, measure_distortion
 from dmlab.params import solve_parameters
 from dmlab.runner import emit_plot_data, run_experiment

@@ -9,6 +9,9 @@ k = 1, at k = m and while the support count permits, and otherwise estimated
 by steepest single-swap local search with restarts.  Greedy numbers are lower
 bounds, so a violation found by greedy is conclusive while a confirmation is
 heuristic; every report records which method produced each number.
+check_event_A reports the sparse supremum at k = 1, the powers of two up to
+k_main = max(1, floor(theta * m)), k_main itself and k = m, the keys the event
+reads; sparse_profile gives the nested-greedy profile at any other k.
 
 The swap search prunes its candidates by one closed-form bound at every k.
 Replacing column i of the support by column j gives the gram of S = X[:, rest]
@@ -147,9 +150,10 @@ class SparseSupremum:
     method: str                    # "exact" (enumerated, always at k = 1 and m) or "greedy"
 
 
-def _check_count(x, low, high, message: str) -> None:
+def _check_count(x, low, high, message: str) -> int:
     if isinstance(x, bool) or not (isinstance(x, (int, np.integer)) and low <= x <= high):
         raise ValueError(message)
+    return int(x)
 
 
 def _as_columns(columns) -> np.ndarray:
@@ -214,19 +218,17 @@ def sparse_supremum(
                           best_sup, method)
 
 
-def _nested_greedy_profile(X: np.ndarray, ks) -> dict:
+def sparse_profile(columns, ks) -> dict:
     """Monotone lower-bound profile k -> sparse supremum via nested column growth.
 
     Columns are added one at a time, each chosen to maximize alignment with
     the running top left-singular direction; nested supports make the profile
-    nondecreasing by construction.
+    nondecreasing by construction.  Reaching k takes k eigh calls.
     """
+    X = _as_columns(columns)
     d, m = X.shape
-    ks = sorted(set(int(k) for k in ks))
-    gram = np.zeros((d, d))
-    taken = np.zeros(m, dtype=bool)
-    u = None
-    out = {}
+    ks = sorted({_check_count(k, 1, m, f"sparsity k must be in [1, {m}]") for k in ks})
+    gram, taken, u, out = np.zeros((d, d)), np.zeros(m, dtype=bool), None, {}
     count = 0
     for k_target in ks:
         while count < k_target:  # the first column is the one of largest norm
@@ -245,8 +247,8 @@ def _nested_greedy_profile(X: np.ndarray, ks) -> dict:
 class EventReport:
     lambda_min: float              # sigma_min(Gamma2) / sqrt(m)
     lambda_max: float              # sigma_max(Gamma2) / sqrt(m), the measured kappa1
-    sparse_sup: dict               # k -> estimate (monotone in k)
-    sparse_methods: dict           # k -> "exact" (k = 1, k = m, enumerated k_event) | "greedy"
+    sparse_sup: dict               # k -> running maximum at 1, 2, 4, ... <= k_main, k_main, m
+    sparse_methods: dict           # same keys -> "exact" (k = 1, k = m, enumerated k_main) | "greedy"
     k_event: int                   # floor(theta * m); 0 means the constraint is vacuous
     event_a_holds: bool
 
@@ -258,7 +260,7 @@ def check_event_constants(kappa1: float, delta: float, theta: float, restarts: i
         raise ValueError("theta must be in (0, 1/4)")
     if not 0.0 < delta < 0.25:
         raise ValueError("delta must be in (0, 1/4)")
-    if kappa1 < 1.0:
+    if not kappa1 >= 1.0:  # NaN too
         raise ValueError("kappa1 must be >= 1")
 
 
@@ -275,8 +277,10 @@ def check_event_A(
     The sparse condition constrains unit vectors with at most floor(theta*m)
     nonzero entries; when floor(theta*m) = 0 only the zero vector qualifies
     and the condition holds vacuously (the map still reports k=1 for
-    information).  The sparse profile covers a log-spaced k grid with running
-    maxima; its entries at k=1, k=m and an enumerated k_event are exact.
+    information).  sparse_sup holds running maxima at k = 1, the powers of two
+    up to k_main = max(1, k_event), k_main and m: the nested-greedy profile,
+    the swap search at k_main and sigma_max; entries at k=1, k=m and an
+    enumerated k_main are exact.  sparse_profile gives the profile at any k.
     """
     check_event_constants(kappa1, delta, theta, restarts)
     X = _as_columns(gamma2)
@@ -289,25 +293,17 @@ def check_event_A(
 
     main = sparse_supremum(X, k_main, restarts=restarts, seed=child_seed(seed, 1))
 
-    grid = sorted({1, k_main, m} | {2**j for j in range(1, int(math.log2(m)) + 1)})
-    profile = _nested_greedy_profile(X, [k for k in grid if k < m])
-    values, methods = {}, {}
-    running = 0.0
+    grid = sorted({1, k_main, m} | {2**j for j in range(1, k_main.bit_length())})  # 2**j <= k_main
+    profile = sparse_profile(X, [k for k in grid if k < m])
+    values, methods, running = {}, {}, 0.0
     for k in grid:
         val, tag = (smax, "exact") if k == m else (profile[k], "exact" if k == 1 else "greedy")
         if k == k_main and main.value >= val:
             val, tag = main.value, main.method
-        running = max(running, val)
-        values[k] = running
+        values[k] = running = max(running, val)
         methods[k] = tag
 
     sparse_ok = True if k_event < 1 else values[k_main] <= delta * sqrt_m
     holds = (smax / sqrt_m <= kappa1) and sparse_ok
-    return EventReport(
-        lambda_min=smin / sqrt_m,
-        lambda_max=smax / sqrt_m,
-        sparse_sup=values,
-        sparse_methods=methods,
-        k_event=k_event,
-        event_a_holds=holds,
-    )
+    return EventReport(lambda_min=smin / sqrt_m, lambda_max=smax / sqrt_m, sparse_sup=values,
+                       sparse_methods=methods, k_event=k_event, event_a_holds=holds)
