@@ -10,8 +10,9 @@ by steepest single-swap local search with restarts.  Greedy numbers are lower
 bounds, so a violation found by greedy is conclusive while a confirmation is
 heuristic; every report records which method produced each number.
 check_event_A reports the sparse supremum at k = 1, the powers of two up to
-k_main = max(1, floor(theta * m)), k_main itself and k = m, the keys the event
-reads; sparse_profile gives the nested-greedy profile at any other k.
+k_main = max(1, floor(theta * m)), k_main itself and k = m, no more than its
+running maximum at k_main needs; sparse_profile gives the nested-greedy
+profile at any k.
 
 The swap search prunes its candidates by one closed-form bound at every k.
 Replacing column i of the support by column j gives the gram of S = X[:, rest]

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -187,6 +188,68 @@ def test_net_certified_brackets_truth():
         assert rep.inf_est <= rep.net_min
         assert rep.lipschitz_slack == pytest.approx(
             net.rho * rep.net_max / (1 - net.rho), rel=1e-12)
+
+
+# Known answers.  On the unit sphere of R^d and for any orthogonal Q,
+# ||Qx||_p runs over [1, d^(1/p - 1/2)] (reversed for p > 2), since Q maps
+# the sphere onto itself: for p = inf, inf 1/sqrt(d) and sup 1; and when the
+# rows of S are all 2^d sign patterns, ||Sx||_inf = ||x||_1, with inf 1 at the
+# axes and sup sqrt(d).  An attained inf is at least the true inf and an
+# attained sup at most the true sup, with 1e-12 relative slack for rounding.
+def _orthogonal_map(name, d):
+    if name == "identity":
+        return np.eye(d)
+    return np.linalg.qr(np.random.default_rng(d).standard_normal((d, d)))[0]
+
+
+def _sign_patterns(d):
+    return np.array(list(product((-1.0, 1.0), repeat=d)))
+
+
+@pytest.mark.parametrize("name", ["identity", "rotation"])
+@pytest.mark.parametrize("d", [8, 16])
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 8.0])
+def test_multistart_meets_both_lp_extremes_on_orthogonal_maps(p, d, name):
+    rep = measure_distortion(LpBall(p, d), _orthogonal_map(name, d), "multiStartOpt",
+                             starts=64, seed=0)
+    lo, hi = sorted((1.0, d ** (1 / p - 0.5)))
+    assert abs(rep.inf_est - lo) <= 1e-9 * lo
+    assert abs(rep.sup_est - hi) <= 1e-9 * hi
+    assert lo * (1 - 1e-12) <= rep.inf_est and rep.sup_est <= hi * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("method", ["exactRowNorm", "multiStartOpt"])
+@pytest.mark.parametrize("name", ["identity", "rotation"])
+@pytest.mark.parametrize("d", [8, 16])
+def test_linf_sup_on_orthogonal_maps_is_one(method, name, d):
+    rep = measure_distortion(LpBall(math.inf, d), _orthogonal_map(name, d), method,
+                             starts=64, seed=0)
+    assert abs(rep.sup_est - 1.0) <= 1e-9
+    assert rep.sup_est <= 1.0 + 1e-12
+    # one-sided only: the descent stops 2-22% above 1/sqrt(d) on these maps
+    assert rep.inf_est >= (1 - 1e-12) / math.sqrt(d)
+
+
+@pytest.mark.parametrize("method", ["exactRowNorm", "multiStartOpt"])
+@pytest.mark.parametrize("d", [4, 6])
+def test_all_sign_patterns_map_the_sphere_onto_l1_norms(method, d):
+    S = _sign_patterns(d)
+    rep = measure_distortion(LpBall(math.inf, 2**d), S, method, starts=64, seed=0)
+    if method == "exactRowNorm":
+        assert abs(rep.sup_est - math.sqrt(d)) <= 1e-9 * math.sqrt(d)
+    assert rep.sup_est <= math.sqrt(d) * (1 + 1e-12)
+    assert rep.inf_est >= 1 - 1e-12
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 8.0, math.inf])
+def test_net_certified_brackets_the_known_answers_at_d_2(p):
+    net = build_sphere_net(2, 0.3, 10**4, 3)
+    lo, hi = sorted((1.0, 2 ** (1 / p - 0.5)))
+    for gamma in (_orthogonal_map("identity", 2), _orthogonal_map("rotation", 2)):
+        rep = measure_distortion(LpBall(p, 2), gamma, "netCertified", net=net)
+        assert rep.inf_est <= lo and rep.sup_est >= hi
+    rep = measure_distortion(LpBall(math.inf, 4), _sign_patterns(2), "netCertified", net=net)
+    assert rep.inf_est <= 1.0 and rep.sup_est >= math.sqrt(2)
 
 
 def test_net_certified_rejects_uncovered_net():

@@ -14,6 +14,7 @@ from dmlab.events import (
     check_event_A,
     check_event_constants,
     singular_extremes,
+    sparse_profile,
     sparse_supremum,
 )
 from dmlab.seeding import child_seed
@@ -135,6 +136,8 @@ def test_bad_columns_are_rejected_before_any_svd(columns, match, monkeypatch):
     for k in (1, 2):
         with pytest.raises(ValueError, match=match):
             sparse_supremum(columns, k)
+    with pytest.raises(ValueError, match=match):
+        sparse_profile(columns, [1])
 
 
 @pytest.mark.parametrize("k", [2.5, 2.0, True, np.float64(2.0), "2"])
@@ -412,7 +415,9 @@ def test_event_single_heavy_column_fails():
 
 def test_event_parameter_validation():
     X = np.zeros((2, 8))
-    for kwargs in ({"theta": 0.3}, {"delta": 0.3}, {"kappa1": 0.5}):
+    nan = float("nan")
+    for kwargs in ({"theta": 0.3}, {"delta": 0.3}, {"kappa1": 0.5},
+                   {"theta": nan}, {"delta": nan}, {"kappa1": nan}):
         full = {"kappa1": 2.0, "delta": 0.2, "theta": 0.2, **kwargs}
         with pytest.raises(ValueError):
             check_event_A(X, **full)
@@ -425,6 +430,7 @@ def test_event_profile_monotone_and_exact_endpoint():
     X = sample_matrix(EnsembleSpec("UniformIsotropic", 8, 64, vector_axis="cols"), 5)
     rep = check_event_A(X, kappa1=2.0, delta=0.2, theta=0.2, seed=1)
     ks = sorted(rep.sparse_sup)
+    assert ks == [1, 2, 4, 8, 12, 64]  # the powers of two up to k_main = 12, k_main and m
     vals = [rep.sparse_sup[k] for k in ks]
     assert all(a <= b + 1e-9 for a, b in zip(vals, vals[1:]))
     assert rep.sparse_sup[64] == pytest.approx(rep.lambda_max * 8.0, rel=1e-12)
@@ -439,6 +445,25 @@ def test_event_tags_the_largest_column_norm_exact(theta, k_event):
     assert rep.k_event == k_event
     assert rep.sparse_methods[1] == "exact"
     assert rep.sparse_sup[1] == pytest.approx(np.linalg.norm(X, axis=0).max(), rel=1e-12)
+
+
+def test_sparse_profile_monotone_with_exact_endpoints():
+    X = sample_matrix(EnsembleSpec("UniformIsotropic", 8, 64, vector_axis="cols"), 5)
+    ks = [2**j for j in range(7)]
+    prof = sparse_profile(X, ks[::-1] + [np.int64(4)])  # any order, repeats and numpy ints
+    assert list(prof) == ks
+    assert prof == _reference_nested_greedy_profile(X, ks)  # what demo 04 printed before
+    vals = list(prof.values())
+    assert all(a <= b for a, b in zip(vals, vals[1:]))
+    assert prof[1] == pytest.approx(np.linalg.norm(X, axis=0).max(), rel=1e-12)
+    assert prof[64] == pytest.approx(singular_extremes(X)[1], rel=1e-12)
+
+
+@pytest.mark.parametrize("ks", [[0], [65], [2, 2.0], [True], ["4"]])
+def test_sparse_profile_rejects_bad_ks(ks):
+    X = np.random.default_rng(0).standard_normal((8, 64))
+    with pytest.raises(ValueError, match=r"sparsity k must be in \[1, 64\]"):
+        sparse_profile(X, ks)
 
 
 def test_event_vacuous_sparsity_reduces_to_operator_norm():
@@ -475,3 +500,104 @@ def test_heavy_tailed_sparse_scaling_on_desk_grid():
 def test_singular_extremes_rejects_an_empty_matrix(shape):
     with pytest.raises(ValueError, match="matrix must be nonempty"):
         singular_extremes(np.zeros(shape))
+
+
+# check_event_A as it was when it built the nested-greedy profile over the
+# whole grid {1, 2, 4, ..., m}, kept verbatim as the reference of the
+# bit-identity test below.
+def _reference_nested_greedy_profile(X, ks):
+    d, m = X.shape
+    ks = sorted(set(int(k) for k in ks))
+    gram = np.zeros((d, d))
+    taken = np.zeros(m, dtype=bool)
+    u = None
+    out = {}
+    count = 0
+    for k_target in ks:
+        while count < k_target:  # the first column is the one of largest norm
+            scores = np.abs(u @ X) if count else np.linalg.norm(X, axis=0)
+            scores[taken] = -1.0
+            j = int(np.argmax(scores))
+            taken[j] = True
+            gram += np.outer(X[:, j], X[:, j])
+            count += 1
+            u = np.linalg.eigh(gram)[1][:, -1]
+        out[k_target] = math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
+    return out
+
+
+def _reference_check_event_A(gamma2, kappa1, delta, theta, restarts=20, seed=0):
+    check_event_constants(kappa1, delta, theta, restarts)
+    X = events._as_columns(gamma2)
+    _, m = X.shape
+    sqrt_m = math.sqrt(m)
+
+    smin, smax = singular_extremes(X)
+    k_event = int(theta * m)
+    k_main = max(1, k_event)
+
+    main = sparse_supremum(X, k_main, restarts=restarts, seed=child_seed(seed, 1))
+
+    grid = sorted({1, k_main, m} | {2**j for j in range(1, int(math.log2(m)) + 1)})
+    profile = _reference_nested_greedy_profile(X, [k for k in grid if k < m])
+    values, methods = {}, {}
+    running = 0.0
+    for k in grid:
+        val, tag = (smax, "exact") if k == m else (profile[k], "exact" if k == 1 else "greedy")
+        if k == k_main and main.value >= val:
+            val, tag = main.value, main.method
+        running = max(running, val)
+        values[k] = running
+        methods[k] = tag
+
+    sparse_ok = True if k_event < 1 else values[k_main] <= delta * sqrt_m
+    holds = (smax / sqrt_m <= kappa1) and sparse_ok
+    return events.EventReport(
+        lambda_min=smin / sqrt_m,
+        lambda_max=smax / sqrt_m,
+        sparse_sup=values,
+        sparse_methods=methods,
+        k_event=k_event,
+        event_a_holds=holds,
+    )
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+@pytest.mark.parametrize("law", ["UniformIsotropic", "LogConcaveSimplex", "GaussianIID"])
+@pytest.mark.parametrize("d, theta, k_event", [
+    (8, 1e-4, 0), (8, 1.5 / 64, 1), (8, 4.5 / 64, 4), (4, 6.5 / 64, 6), (8, 0.2, 12),
+])
+def test_event_report_matches_the_full_profile_bit_for_bit(law, d, theta, k_event):
+    # 20 draws of d x 64 columns.  kappa1 = 1.25 is near the median lambda_max
+    # at d = 8, so at k_event = 0 the event holds on some draws and not on
+    # others; delta sqrt(m) = 1.6 is below the column norms, so at k_event >= 1
+    # the sparse condition fails.
+    for s in range(20):
+        X = sample_matrix(EnsembleSpec(law, d, 64, vector_axis="cols"), child_seed(30, s))
+        rep = check_event_A(X, kappa1=1.25, delta=0.2, theta=theta, restarts=4, seed=s)
+        ref = _reference_check_event_A(X, kappa1=1.25, delta=0.2, theta=theta, restarts=4,
+                                       seed=s)
+        k_main = max(1, k_event)
+        assert rep.k_event == ref.k_event == k_event
+        assert list(rep.sparse_sup) == [k for k in ref.sparse_sup if k <= k_main or k == 64]
+        assert list(rep.sparse_methods) == list(rep.sparse_sup)
+        for k in rep.sparse_sup:
+            assert _bits(rep.sparse_sup[k]) == _bits(ref.sparse_sup[k])
+            assert rep.sparse_methods[k] == ref.sparse_methods[k]
+        assert rep.event_a_holds == ref.event_a_holds
+        assert _bits(rep.lambda_min) == _bits(ref.lambda_min)
+        assert _bits(rep.lambda_max) == _bits(ref.lambda_max)
+
+
+def test_event_grows_the_profile_only_up_to_k_main(monkeypatch):
+    # the event_sparse shapes: d = 16, m = 512, k_main = floor(4.5 / 512 * 512) = 4;
+    # the profile over the whole grid took one eigh call per column up to m / 2
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    X = sample_matrix(EnsembleSpec("UniformIsotropic", 16, 512, vector_axis="cols"), 3)
+    rep = check_event_A(X, kappa1=2.0, delta=0.2, theta=4.5 / 512, seed=3)
+    assert rep.k_event == 4
+    assert len(calls) <= 4
