@@ -30,7 +30,7 @@ from typing import Union
 
 import numpy as np
 
-from dmlab.seeding import mc_mean
+from dmlab.seeding import _check_count, mc_mean
 
 _AUTO_MC_TRIALS = 20000  # Monte-Carlo samples of mean_width_auto
 _QUAD_PANELS = 64        # equal panels of the Gauss-Legendre rule of mean_width
@@ -193,8 +193,7 @@ def mean_width(
       "closedForm"  LpBall(2, n) and LpBall(1, n); stderr 0
     """
     if method == "monteCarlo":
-        if trials is None or trials < 1:
-            raise ValueError("monteCarlo requires trials >= 1")
+        _check_count(trials, "monteCarlo requires trials >= 1")
         rng = np.random.default_rng(0 if seed is None else seed)
         return mc_mean(trials, lambda count: norm_many(body, rng.standard_normal((count, body.n))))
 

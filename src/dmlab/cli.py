@@ -16,7 +16,8 @@ import sys
 from pathlib import Path
 
 from dmlab.ensembles import EnsembleSpec, marginal_diagnostics
-from dmlab.runner import _PLOT_KINDS, ConfigError, emit_plot_data, parse_config, run_experiment
+from dmlab.runner import (_PLOT_KINDS, ConfigError, _expect_keys, emit_plot_data, parse_config,
+                          run_experiment)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -54,15 +55,9 @@ def _cmd_plot(args) -> int:
 
 def _cmd_diag(args) -> int:
     raw = _load_json(args.ensemble)
-    allowed = {"kind", "rows", "cols", "vectorAxis", "q"}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"unknown fields in ensemble spec: {sorted(unknown)}")
-    try:
-        spec = EnsembleSpec(kind=raw.get("kind"), rows=raw.get("rows", 1), cols=raw.get("cols", 1),
-                            vector_axis=raw.get("vectorAxis", "rows"))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    _expect_keys(raw, {"kind", "rows", "cols", "vectorAxis", "q"}, "ensemble spec")
+    spec = EnsembleSpec(kind=raw.get("kind"), rows=raw.get("rows", 1), cols=raw.get("cols", 1),
+                        vector_axis=raw.get("vectorAxis", "rows"))
     diag = marginal_diagnostics(spec, probe_directions=args.probes,
                                 trials=args.trials, seed=args.seed,
                                 q=raw.get("q", 4.0))

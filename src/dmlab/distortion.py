@@ -34,7 +34,7 @@ import numpy as np
 from dmlab.bodies import ConvexBody, LpBall, _norms_and_leads, _pull_back, norm_many
 from dmlab.events import singular_extremes
 from dmlab.nets import SphereNet, _sphere_points
-from dmlab.seeding import child_seed
+from dmlab.seeding import _check_count, child_seed
 
 _PHI_FLOOR = 1e-300
 _OPT_ITERS = 500  # iteration cap of each multi-start descent in measure_distortion
@@ -126,8 +126,7 @@ def measure_distortion(
         sup_method = inf_method = "exactSpectral"
 
     elif method in ("exactRowNorm", "multiStartOpt"):
-        if isinstance(starts, bool) or not isinstance(starts, (int, np.integer)) or starts < 1:
-            raise ValueError(f"{method} needs starts to be an integer >= 1, got {starts!r}")
+        _check_count(starts, f"{method} needs starts to be an integer >= 1, got {starts!r}")
         sup_method = inf_method = f"multiStartOpt({starts})"
         if method == "exactRowNorm":
             sup_est, sup_method = float(np.linalg.norm(gamma, axis=1).max()), "exactRowNorm"

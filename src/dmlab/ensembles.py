@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from dmlab.calibration import PAOURIS_C1
-from dmlab.seeding import child_seed
+from dmlab.seeding import _check_count, child_seed
 
 _T_DOF = 12
 _T_SCALE = 1.0 / math.sqrt(_T_DOF / (_T_DOF - 2.0))  # unit variance
@@ -55,8 +55,8 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("rows and cols must be positive")
+        _check_count(self.rows, "rows and cols must be positive integers")
+        _check_count(self.cols, "rows and cols must be positive integers")
         if self.rows * self.cols > _SIZE_CAP:
             raise ValueError(f"matrix size {self.rows}x{self.cols} exceeds the cap")
         if self.vector_axis not in ("rows", "cols"):
@@ -228,10 +228,8 @@ def marginal_diagnostics(
     canonical worst cases e_1 (coordinate marginals are the adversarial
     directions for product laws) and the normalized all-ones vector.
     """
-    if trials < 1000:
-        raise ValueError("diagnostics need trials >= 1000")
-    if probe_directions < 1:
-        raise ValueError("need at least one probe direction")
+    _check_count(trials, "diagnostics need trials >= 1000", low=1000)
+    _check_count(probe_directions, "need at least one probe direction")
     if isinstance(q, bool) or not isinstance(q, numbers.Real) or not 1 <= q <= sys.float_info.max:
         raise ValueError(f"q must be a finite real number >= 1, got {q!r}")
     dim = spec.vector_dim

@@ -47,7 +47,7 @@ from itertools import combinations, islice, pairwise
 
 import numpy as np
 
-from dmlab.seeding import child_seed
+from dmlab.seeding import _check_count, child_seed
 
 _BOUND_SLACK = 1e-9            # relative slack on the swap bound; absorbs its rounding
 _CHUNK_BYTES = 1 << 23         # submatrices and grams of one batched eigvalsh call
@@ -151,12 +151,6 @@ class SparseSupremum:
     method: str                    # "exact" (enumerated, always at k = 1 and m) or "greedy"
 
 
-def _check_count(x, low, high, message: str) -> int:
-    if isinstance(x, bool) or not (isinstance(x, (int, np.integer)) and low <= x <= high):
-        raise ValueError(message)
-    return int(x)
-
-
 def _as_columns(columns) -> np.ndarray:
     X = np.asarray(columns, dtype=float)
     if X.ndim != 2 or X.size == 0:
@@ -186,8 +180,8 @@ def sparse_supremum(
         raise ValueError(f"unknown method {method!r}")
     X = _as_columns(columns)
     m = X.shape[1]
-    _check_count(k, 1, m, f"sparsity k must be in [1, {m}]")
-    _check_count(restarts, 1, math.inf, "restarts must be an integer >= 1")
+    _check_count(k, f"sparsity k must be in [1, {m}]", high=m)
+    _check_count(restarts, "restarts must be an integer >= 1")
 
     if method == "exact" or k in (1, m):
         if 1 < k < m and math.comb(m, k) > 10**6:
@@ -228,7 +222,7 @@ def sparse_profile(columns, ks) -> dict:
     """
     X = _as_columns(columns)
     d, m = X.shape
-    ks = sorted({_check_count(k, 1, m, f"sparsity k must be in [1, {m}]") for k in ks})
+    ks = sorted({_check_count(k, f"sparsity k must be in [1, {m}]", high=m) for k in ks})
     gram, taken, u, out = np.zeros((d, d)), np.zeros(m, dtype=bool), None, {}
     count = 0
     for k_target in ks:
@@ -256,7 +250,7 @@ class EventReport:
 
 def check_event_constants(kappa1: float, delta: float, theta: float, restarts: int) -> None:
     """Raise ValueError unless check_event_A accepts these constants."""
-    _check_count(restarts, 1, math.inf, "restarts must be an integer >= 1")
+    _check_count(restarts, "restarts must be an integer >= 1")
     if not 0.0 < theta < 0.25:
         raise ValueError("theta must be in (0, 1/4)")
     if not 0.0 < delta < 0.25:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dmlab.seeding import child_seed
+from dmlab.seeding import _check_count, child_seed
 
 _NET_BLOCK = 8192  # candidates rejected per matmul in build_sphere_net
 _PROBE_BUDGET = 8192  # fresh sphere points probing the covering radius
@@ -63,12 +63,10 @@ def build_sphere_net(
     module docstring shows why rejecting in blocks of `_NET_BLOCK` keeps it
     the one-at-a-time greedy's.
     """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
+    _check_count(dim, "dim must be >= 1")
     if not 0.0 < rho <= 2.0:
         raise ValueError("rho must be in (0, 2]")
-    if candidate_budget < 1:
-        raise ValueError("candidate_budget must be >= 1")
+    _check_count(candidate_budget, "candidate_budget must be >= 1")
 
     rng = np.random.default_rng(child_seed(seed, 0))
     axes = np.repeat(np.eye(dim), 2, axis=0)   # e_1, -e_1, e_2, -e_2, ...
@@ -128,8 +126,7 @@ def pajor_subset(points, max_size: int) -> np.ndarray:
     epsilon-separated core.  Exact duplicates are never selected.  Returned in
     selection order; prefixes are nested across max_size values.
     """
-    if max_size < 1:
-        raise ValueError("max_size must be >= 1")
+    _check_count(max_size, "max_size must be >= 1")
     P = np.atleast_2d(np.asarray(points, dtype=float))
     if P.size == 0:
         raise ValueError("points must be nonempty")

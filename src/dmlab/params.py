@@ -30,6 +30,8 @@ import math
 import sys
 from dataclasses import dataclass
 
+from dmlab.seeding import _check_count
+
 _THETA_CAP = 0.2499  # keeps the open-interval constraint theta < 1/4 strict in float
 
 
@@ -90,12 +92,11 @@ def solve_parameters(
     """Solve the constraint system; clamps keep theta and delta strictly below 1/4."""
     if not 0.0 < rho <= 0.25:
         raise ValueError("rho must be in (0, 1/4]")
-    if q <= 2.0:
+    if not 2.0 < q <= sys.float_info.max:  # also rejects NaN and infinity
         raise ValueError("q must exceed 2")
-    if d_star <= 0.0:
+    if not 0.0 < d_star <= sys.float_info.max:
         raise ValueError("d_star must be positive")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_count(n, "n must be >= 1")
     c = constants or SolverConstants()
     if min(c.c0, c.c1, c.c2, c.c3) <= 0.0:
         raise ValueError("solver constants c0-c3 must be positive")

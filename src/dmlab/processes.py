@@ -22,7 +22,7 @@ import numpy as np
 from dmlab.calibration import C_SUD, CONCENTRATION_C
 from dmlab.ensembles import EnsembleSpec, sample_matrix
 from dmlab.nets import farthest_first
-from dmlab.seeding import child_seed, mc_chunks, mc_mean
+from dmlab.seeding import _check_count, child_seed, mc_chunks, mc_mean
 
 _EXACT_DIM_CAP = 20
 _TAIL_MULTIPLES = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)  # tail points x / sigma*
@@ -131,8 +131,7 @@ def bernoulli_lp(a, p: int) -> float:
     contribute sqrt(p) times their Euclidean norm.  Equivalent to the true Lp
     norm up to absolute constants.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    _check_count(p, "p must be >= 1")
     srt = np.sort(np.abs(np.asarray(a, dtype=float)))[::-1]
     head = float(srt[:p].sum())
     tail = float(np.linalg.norm(srt[p:]))

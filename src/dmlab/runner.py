@@ -2,8 +2,11 @@
 
 A config names one experiment kind, a body family, a dimension schedule and
 rules deriving the subspace dimension d and the intermediate dimension m from
-each ambient n.  The table `_KINDS` maps each kind to its trial function and
-to the config sections it needs and may also take; any other is rejected.
+each ambient n.  The table `_KINDS` maps each kind to its sampler, its
+measurement and the config sections it needs and may also take; any other is
+rejected.  A trial draws, then measures: the sampler draws the kind's random
+object (the n x d map Gamma, the column factor Gamma2 or the index set) from
+child_seed(trial seed, 0), and the measurement turns it into the trial's row.
 gaussianDM needs body, dRule and distortionMethod; cubeCounterexample needs
 body and dRule and takes distortionMethod; the three product kinds need body,
 dRule, mRule and distortionMethod; eventAFrequency needs body, dRule and mRule
@@ -13,7 +16,7 @@ which it checks but does not read.  Every number in a config must be finite
 rule's check with its derivation.  `parse_config` validates a config once and
 resolves what the sweep reads: the bodies, the ensemble laws, the distortion
 method, event A's constants, the process sizes and the experiment id.  Every
-trial draws its own seed from the master seed and the global trial index, so
+trial derives its seed from the master seed and the global trial index, so
 sweeps are embarrassingly parallel: they run in forked worker processes (see
 `run_experiment`), and the ordered reduction reproduces the CSV and the JSON
 summary byte for byte at any worker count.  The distortion methods, the
@@ -343,9 +346,15 @@ def _schedule_context(config: ExperimentConfig, n_index: int) -> _ScheduleContex
     return _ScheduleContext(n=n, d=d, m=m, body=body, ell_k=ell_k, d_star=d_star, net=net)
 
 
-# Trial functions: (config, schedule context, trial seed) -> the TrialRecord
-# fields measured.  They look up measure_distortion, the samplers and the
-# estimators in this module's globals at call time, so patches apply.
+# Samplers: (ensemble laws, schedule context, draw seed) -> the trial's random
+# object.  Measurements: (config, schedule context, that object, trial seed) ->
+# the TrialRecord fields measured.  Both look up the samplers, measure_distortion
+# and the estimators in this module's globals at call time, so patches apply.
+
+def _product(laws, ctx, seed):
+    spec = product_spec(laws["row"], laws["col"], n=ctx.n, d=ctx.d, m=ctx.m)
+    return sample_product(spec, seed)[0]
+
 
 def _distortion_fields(config, ctx: _ScheduleContext, gamma, seed: int) -> dict:
     dist = config.distortion
@@ -355,13 +364,7 @@ def _distortion_fields(config, ctx: _ScheduleContext, gamma, seed: int) -> dict:
                 method_tags=f"sup={rep.sup_method};inf={rep.inf_method}")
 
 
-def _gaussian_trial(config, ctx, seed) -> dict:
-    gamma = sample_matrix(EnsembleSpec("GaussianIID", ctx.n, ctx.d), child_seed(seed, 0))
-    return _distortion_fields(config, ctx, gamma, seed)
-
-
-def _cube_trial(config, ctx, seed) -> dict:
-    M = sample_matrix(EnsembleSpec(config.laws["single"], ctx.n, ctx.d), child_seed(seed, 0))
+def _cube_fields(config, ctx, M, seed) -> dict:
     wit = adversarial_linf_witness(M)
     if config.distortion:
         # Full estimator pair, for use as a control against product runs.
@@ -376,15 +379,7 @@ def _cube_trial(config, ctx, seed) -> dict:
                 method_tags="sup=exactRowNorm;inf=axisProbeE1;witness=signAligned")
 
 
-def _product_trial(config, ctx, seed) -> dict:
-    pspec = product_spec(config.laws["row"], config.laws["col"], n=ctx.n, d=ctx.d, m=ctx.m)
-    gamma, _ = sample_product(pspec, child_seed(seed, 0))
-    return _distortion_fields(config, ctx, gamma, seed)
-
-
-def _event_trial(config, ctx, seed) -> dict:
-    spec = EnsembleSpec(config.laws["col"], rows=ctx.d, cols=ctx.m, vector_axis="cols")
-    gamma2 = sample_matrix(spec, child_seed(seed, 0))
+def _event_fields(config, ctx, gamma2, seed) -> dict:
     rep = check_event_A(gamma2, *config.event, seed=child_seed(seed, 1))
     k_main = max(1, rep.k_event)
     sparse = rep.sparse_methods[k_main] if rep.k_event else "vacuous"  # floor(theta m) = 0
@@ -393,9 +388,7 @@ def _event_trial(config, ctx, seed) -> dict:
                             f"kappa1Measured={rep.lambda_max:.6g}")
 
 
-def _sandbox_trial(config, ctx, seed) -> dict:
-    rng = np.random.default_rng(child_seed(seed, 0))
-    T = index_set(rng.standard_normal((ctx.m, ctx.d)))
+def _sandbox_fields(config, ctx, T, seed) -> dict:
     sup = emp_sup("gaussian", T, trials=config.process["supTrials"], seed=child_seed(seed, 1))
     sud = sudakov_lower(T)
     tail = concentration_check(T, trials=config.process["innerTrials"], seed=child_seed(seed, 2))
@@ -406,9 +399,10 @@ def _sandbox_trial(config, ctx, seed) -> dict:
 
 @dataclass(frozen=True)
 class _Kind:
-    """One experiment kind: its trial function and the config sections it reads."""
+    """One experiment kind: how a trial draws, how it measures the draw, what config it reads."""
 
-    trial: Callable
+    sample: Callable            # (laws, ctx, draw seed) -> Gamma, column factor or index set
+    measure: Callable           # (config, ctx, that draw, trial seed) -> TrialRecord fields
     laws: dict                  # ensemble slot -> default law; the allowed `ensembles` slots
     needs: tuple                # the sections a config must carry
     takes: tuple = ()           # the sections it may also carry; any other is rejected
@@ -416,21 +410,29 @@ class _Kind:
     methods: tuple = tuple(METHODS)  # allowed distortionMethod.method values
 
 
+_PRODUCT_NEEDS = ("body", "dRule", "mRule", "distortionMethod")
 _KINDS = {
-    "gaussianDM": _Kind(_gaussian_trial, {}, ("body", "dRule", "distortionMethod")),
-    "cubeCounterexample": _Kind(_cube_trial, {"single": "UniformPM1"}, ("body", "dRule"),
-                                ("distortionMethod",), lp=math.inf, methods=("exactRowNorm",)),
-    "productUniform": _Kind(_product_trial, {"row": "UniformPM1", "col": "UniformPM1"},
-                            ("body", "dRule", "mRule", "distortionMethod")),
-    "productLogConcave": _Kind(_product_trial, {"row": "UniformIsotropic",
-                                                "col": "LogConcaveSimplex"},
-                               ("body", "dRule", "mRule", "distortionMethod")),
-    "productHeavyTailed": _Kind(_product_trial, {"row": "UniformIsotropic",
-                                                 "col": "HeavyTailedBounded"},
-                                ("body", "dRule", "mRule", "distortionMethod")),
-    "eventAFrequency": _Kind(_event_trial, {"col": "UniformIsotropic"},
-                             ("body", "dRule", "mRule"), ("constants",)),
-    "processSandbox": _Kind(_sandbox_trial, {}, (), ("dRule", "process")),
+    "gaussianDM": _Kind(
+        lambda laws, ctx, s: sample_matrix(EnsembleSpec("GaussianIID", ctx.n, ctx.d), s),
+        _distortion_fields, {}, ("body", "dRule", "distortionMethod")),
+    "cubeCounterexample": _Kind(
+        lambda laws, ctx, s: sample_matrix(EnsembleSpec(laws["single"], ctx.n, ctx.d), s),
+        _cube_fields, {"single": "UniformPM1"}, ("body", "dRule"), ("distortionMethod",),
+        lp=math.inf, methods=("exactRowNorm",)),
+    "productUniform": _Kind(_product, _distortion_fields,
+                            {"row": "UniformPM1", "col": "UniformPM1"}, _PRODUCT_NEEDS),
+    "productLogConcave": _Kind(_product, _distortion_fields,
+                               {"row": "UniformIsotropic", "col": "LogConcaveSimplex"},
+                               _PRODUCT_NEEDS),
+    "productHeavyTailed": _Kind(_product, _distortion_fields,
+                                {"row": "UniformIsotropic", "col": "HeavyTailedBounded"},
+                                _PRODUCT_NEEDS),
+    "eventAFrequency": _Kind(
+        lambda laws, ctx, s: sample_matrix(EnsembleSpec(laws["col"], ctx.d, ctx.m, "cols"), s),
+        _event_fields, {"col": "UniformIsotropic"}, ("body", "dRule", "mRule"), ("constants",)),
+    "processSandbox": _Kind(
+        lambda laws, ctx, s: index_set(np.random.default_rng(s).standard_normal((ctx.m, ctx.d))),
+        _sandbox_fields, {}, (), ("dRule", "process")),
 }
 
 
@@ -438,9 +440,11 @@ def _safe_trial(config: ExperimentConfig, ctx: _ScheduleContext,
                 trial_index: int, seed: int) -> TrialRecord:
     base = dict(experiment_id=config.experiment_id, n=ctx.n, d=ctx.d, m=ctx.m,
                 seed=seed, trial_index=trial_index)
-    try:
+    kind = _KINDS[config.experiment_kind]
+    try:  # draw, then measure; either failing gives an error row
+        drawn = kind.sample(config.laws, ctx, child_seed(seed, 0))
         return TrialRecord(**base, ell_k=ctx.ell_k, d_star=ctx.d_star,
-                           **_KINDS[config.experiment_kind].trial(config, ctx, seed))
+                           **kind.measure(config, ctx, drawn, seed))
     except Exception as exc:  # per-trial failures become rows, never aborts
         return TrialRecord(**base, error=f"{type(exc).__name__}: {exc}")
 

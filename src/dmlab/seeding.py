@@ -5,7 +5,8 @@ partitioned by index: `child_seed(master, index)` derives an independent
 stream per trial, so results are reproducible for a fixed master seed
 regardless of scheduling or thread count.  Monte-Carlo estimators draw their
 samples in chunks of `MC_CHUNK` and reduce the chunks in order, so a fixed
-seed gives bit-identical output.
+seed gives bit-identical output.  `_check_count` is the one check, shared by
+the public entry points, of a count argument: an integer, not a bool, in range.
 """
 
 from __future__ import annotations
@@ -24,6 +25,13 @@ def child_seed(master: int, index: int) -> int:
         raise ValueError("seeds and trial indices must be nonnegative")
     ss = np.random.SeedSequence([int(master), int(index)])
     return int(ss.generate_state(1, _U64)[0])
+
+
+def _check_count(x, message: str, low: int = 1, high: float = math.inf) -> int:
+    """`x` as an int if it is an integer in [low, high] and not a bool; else ValueError(message)."""
+    if isinstance(x, bool) or not (isinstance(x, (int, np.integer)) and low <= x <= high):
+        raise ValueError(message)
+    return int(x)
 
 
 def mc_chunks(trials: int, draw):

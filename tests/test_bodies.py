@@ -350,3 +350,9 @@ def test_lp_ball_rejects_a_nonpositive_dimension():
 def test_diagonal_image_rejects_bad_scales(scales, match):
     with pytest.raises(ValueError, match=match):
         diagonal_image(LpBall(2.0, 3), scales)
+
+
+@pytest.mark.parametrize("trials", [None, 0, True, 2.5, "8"])
+def test_monte_carlo_mean_width_takes_an_integer_trial_count(trials):
+    with pytest.raises(ValueError, match="monteCarlo requires trials >= 1"):
+        mean_width(LpBall(2.0, 4), "monteCarlo", trials=trials)

@@ -384,3 +384,10 @@ def test_measure_distortion_rejects_a_mismatched_net_and_an_unknown_method():
         measure_distortion(body, gamma, "netCertified", net=net)
     with pytest.raises(ValueError, match="^unknown distortion method 'bogus'$"):
         measure_distortion(body, gamma, "bogus")
+
+
+@pytest.mark.parametrize("starts", [0, True, 2.5])
+def test_measure_distortion_takes_an_integer_start_count(starts):
+    gamma = np.random.default_rng(0).standard_normal((16, 3))
+    with pytest.raises(ValueError, match="multiStartOpt needs starts to be an integer >= 1"):
+        measure_distortion(LpBall(3.0, 16), gamma, "multiStartOpt", starts=starts)

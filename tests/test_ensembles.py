@@ -311,3 +311,21 @@ def test_diagnostics_reject_a_bad_q(q):
 def test_child_seed_rejects_negative_seeds(master, index):
     with pytest.raises(ValueError, match="must be nonnegative"):
         child_seed(master, index)
+
+
+@pytest.mark.parametrize("change, match", [
+    ({"probe_directions": 2.5}, "need at least one probe direction"),
+    ({"probe_directions": True}, "need at least one probe direction"),
+    ({"trials": 1000.5}, r"diagnostics need trials >= 1000"),
+    ({"trials": 999}, r"diagnostics need trials >= 1000"),
+], ids=["probes-float", "probes-bool", "trials-float", "trials-low"])
+def test_diagnostics_take_integer_counts(change, match):
+    args = {"probe_directions": 4, "trials": 1000, "seed": 0, **change}
+    with pytest.raises(ValueError, match=match):
+        marginal_diagnostics(EnsembleSpec("GaussianIID", 4, 8), **args)
+
+
+@pytest.mark.parametrize("rows, cols", [(2.5, 4), (2, 4.5), (True, 4), (2, True), (0, 4), ("2", 4)])
+def test_ensemble_spec_takes_integer_shapes(rows, cols):
+    with pytest.raises(ValueError, match="rows and cols must be positive integers"):
+        EnsembleSpec("UniformPM1", rows, cols)

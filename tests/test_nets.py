@@ -161,3 +161,17 @@ def test_pajor_validation():
 def test_pajor_subset_rejects_empty_points():
     with pytest.raises(ValueError, match="points must be nonempty"):
         pajor_subset(np.zeros((0, 3)), 2)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: pajor_subset(np.eye(3), True), "max_size must be >= 1"),
+    (lambda: pajor_subset(np.eye(3), 2.5), "max_size must be >= 1"),
+    (lambda: build_sphere_net(2.0, 0.5, 10, seed=0), "dim must be >= 1"),
+    (lambda: build_sphere_net(True, 0.5, 10, seed=0), "dim must be >= 1"),
+    (lambda: build_sphere_net(2, 0.5, 10.5, seed=0), "candidate_budget must be >= 1"),
+    (lambda: build_sphere_net(2, 0.5, True, seed=0), "candidate_budget must be >= 1"),
+], ids=["pajor-bool", "pajor-float", "net-dim-float", "net-dim-bool", "net-budget-float",
+        "net-budget-bool"])
+def test_counts_must_be_integers(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

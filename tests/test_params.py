@@ -62,6 +62,15 @@ def test_validation():
         solve_parameters(0.2, 6.0, 0.0, 4)
     with pytest.raises(ValueError):
         solve_parameters(0.2, 6.0, 10.0, 0)
+    for q in (math.nan, math.inf):  # non-finite q and d_star fail the same checks
+        with pytest.raises(ValueError, match="q must exceed 2"):
+            solve_parameters(0.2, q, 10.0, 4)
+    for d_star in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="d_star must be positive"):
+            solve_parameters(0.2, 6.0, d_star, 4)
+    for n in (math.nan, math.inf, 2.5, True):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            solve_parameters(0.2, 6.0, 10.0, n)
 
 
 def test_theta_monotone_in_c2():

@@ -315,3 +315,9 @@ def test_small_row_blocks_move_general_suprema_by_rounding_at_most(monkeypatch, 
     for g, w in zip(got, want):
         assert g.value == pytest.approx(w.value, rel=1e-12)
         assert g.stderr == pytest.approx(w.stderr, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [True, 1.5, 0, "2"])
+def test_bernoulli_lp_takes_an_integer_p(p):
+    with pytest.raises(ValueError, match="p must be >= 1"):
+        bernoulli_lp([1.0, 2.0, 3.0], p)

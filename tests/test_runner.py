@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ import dmlab.runner as runner_mod
 from dmlab.bodies import LpBall
 from dmlab.cli import main as cli_main
 from dmlab.distortion import measure_distortion
+from dmlab.ensembles import EnsembleSpec, product_spec, sample_matrix, sample_product
 from dmlab.params import SolverConstants, solve_parameters
 from dmlab.processes import TAIL_MIN_TRIALS, concentration_check, index_set
 from dmlab.runner import (
@@ -499,6 +501,66 @@ def test_trial_failures_become_rows_in_worker_processes(tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+# Reference draws: each kind's random object written out with the ensembles API, so a
+# sampler that stops drawing the same bits fails under the name of its kind.
+_TRIAL_DRAWS = {
+    "gaussianDM": lambda laws, ctx, s: sample_matrix(EnsembleSpec("GaussianIID", ctx.n, ctx.d), s),
+    "cubeCounterexample":
+        lambda laws, ctx, s: sample_matrix(EnsembleSpec(laws["single"], ctx.n, ctx.d), s),
+    **{kind: lambda laws, ctx, s: sample_product(
+        product_spec(laws["row"], laws["col"], n=ctx.n, d=ctx.d, m=ctx.m), s)[0]
+       for kind in ("productUniform", "productLogConcave", "productHeavyTailed")},
+    "eventAFrequency": lambda laws, ctx, s: sample_matrix(
+        EnsembleSpec(laws["col"], rows=ctx.d, cols=ctx.m, vector_axis="cols"), s),
+    "processSandbox":
+        lambda laws, ctx, s: index_set(np.random.default_rng(s).standard_normal((ctx.m, ctx.d))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_CFGS))
+def test_each_sampler_draws_the_reference_draw(kind):
+    config = parse_config(KIND_CFGS[kind])
+    ctx = runner_mod._schedule_context(config, len(config.schedule) - 1)
+    s = child_seed(child_seed(config.master_seed, 1), 0)
+    got = runner_mod._KINDS[kind].sample(config.laws, ctx, s)
+    want = _TRIAL_DRAWS[kind](config.laws, ctx, s)
+    if kind == "processSandbox":
+        got, want = got.vectors, want.vectors
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_safe_trial_draws_with_child_seed_0_then_measures_with_the_trial_seed(monkeypatch):
+    config = parse_config(KIND_CFGS["eventAFrequency"])
+    ctx, calls = runner_mod._schedule_context(config, 0), []
+
+    def sample(laws, c, s):
+        calls.append(("sample", laws, c, s))
+        return "drawn"
+
+    def measure(cfg, c, drawn, s):
+        calls.append(("measure", cfg, c, drawn, s))
+        return {"sup_est": 1.5}
+
+    kind = runner_mod._KINDS["eventAFrequency"]
+    monkeypatch.setitem(runner_mod._KINDS, "eventAFrequency",
+                        replace(kind, sample=sample, measure=measure))
+    rec = runner_mod._safe_trial(config, ctx, 5, 1234)
+    assert calls == [("sample", config.laws, ctx, child_seed(1234, 0)),
+                     ("measure", config, ctx, "drawn", 1234)]
+    assert (rec.error, rec.sup_est, rec.seed, rec.trial_index) == ("", 1.5, 1234, 5)
+
+
+def test_a_failed_draw_becomes_an_error_row(tmp_path, monkeypatch):
+    def failing(spec, seed):
+        raise RuntimeError("synthetic draw failure")
+
+    monkeypatch.setattr(runner_mod, "sample_product", failing)
+    res = run_experiment({**KIND_CFGS["productUniform"], "schedule": [32]}, out_dir=tmp_path)
+    assert res.failures == len(res.records) == 3
+    assert {r.error for r in res.records} == {"RuntimeError: synthetic draw failure"}
+
+
 def test_context_errors_are_the_same_in_worker_processes(tmp_path, monkeypatch):
     orig = runner_mod.mean_width_auto
 
@@ -789,7 +851,13 @@ def test_demo_configs_run_through_cli(tmp_path, capsys):
     {"kind": "UniformPM1", "rows": 4, "cols": 8, "q": "x"},
     {"kind": "UniformPM1", "rows": 4, "cols": 8, "q": math.nan},
     {"kind": "UniformPM1", "rows": 4, "cols": 8, "q": -1},
-], ids=["unknown-field", "bad-vectorAxis", "rowScale", "q-string", "q-nan", "q-negative"])
+    ["kind"],
+    3,
+    {"kind": "UniformPM1", "rows": 4, "cols": 4.5},
+    {"kind": "UniformPM1", "rows": 4, "cols": True},
+    {"kind": "UniformPM1", "rows": 2.5, "cols": 8},
+], ids=["unknown-field", "bad-vectorAxis", "rowScale", "q-string", "q-nan", "q-negative",
+        "list", "number", "cols-float", "cols-bool", "rows-float"])
 def test_cli_diag_rejects_bad_specs_with_exit_2(spec, tmp_path, capsys):
     path = tmp_path / "ens.json"
     path.write_text(json.dumps(spec))
