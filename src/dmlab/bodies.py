@@ -30,7 +30,7 @@ from typing import Union
 
 import numpy as np
 
-from dmlab.seeding import _check_count, mc_mean
+from dmlab.seeding import _check_count, _check_matrix, mc_mean
 
 _AUTO_MC_TRIALS = 20000  # Monte-Carlo samples of mean_width_auto
 _QUAD_PANELS = 64        # equal panels of the Gauss-Legendre rule of mean_width
@@ -46,8 +46,7 @@ class LpBall:
     def __post_init__(self):
         if not self.p >= 1.0:
             raise ValueError(f"p must be in [1, inf], got {self.p}")
-        if self.n < 1:
-            raise ValueError("ambient dimension must be positive")
+        _check_count(self.n, "ambient dimension must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,13 +72,7 @@ ConvexBody = Union[LpBall, PolarPolytope, DiagonalImage]
 
 def polar_polytope(dual_vertices) -> PolarPolytope:
     """Body whose polar is the symmetric hull of `dual_vertices` (k x n)."""
-    V = np.atleast_2d(np.asarray(dual_vertices, dtype=float))
-    if V.ndim != 2:
-        raise ValueError(f"dual vertices must form a k x n array, got {V.ndim} dimensions")
-    if V.size == 0:
-        raise ValueError("dual vertex list must be nonempty")
-    if not np.all(np.isfinite(V)):
-        raise ValueError("dual vertices must be finite")
+    V = _check_matrix(np.atleast_2d(dual_vertices), "dual vertices")
     sym = np.unique(np.concatenate([V, -V], axis=0), axis=0)
     return PolarPolytope(dual_vertices=sym, n=V.shape[1])
 

@@ -34,7 +34,7 @@ import numpy as np
 from dmlab.bodies import ConvexBody, LpBall, _norms_and_leads, _pull_back, norm_many
 from dmlab.events import singular_extremes
 from dmlab.nets import SphereNet, _sphere_points
-from dmlab.seeding import _check_count, child_seed
+from dmlab.seeding import _check_count, _check_matrix, child_seed
 
 _PHI_FLOOR = 1e-300
 _OPT_ITERS = 500  # iteration cap of each multi-start descent in measure_distortion
@@ -108,9 +108,7 @@ def measure_distortion(
     seed: int = 0,
 ) -> DistortionReport:
     """Sup/inf of ||Gamma x||_K over the unit sphere of R^d, with method tags."""
-    gamma = np.asarray(gamma, dtype=float)
-    if not np.all(np.isfinite(gamma)):
-        raise ValueError("Gamma contains NaN or infinity")
+    gamma = _check_matrix(gamma, "Gamma")
     n, d = gamma.shape
     if body.n != n:
         raise ValueError(f"body dimension {body.n} does not match Gamma rows {n}")
@@ -170,7 +168,7 @@ def adversarial_linf_witness(M) -> WitnessReport:
     i_star is the row of largest l1 mass; eta carries its signs (zeros map to
     +1); the witness value is ||M (eta/sqrt(d))||_inf against ||M e_1||_inf.
     """
-    M = np.asarray(M, dtype=float)
+    M = _check_matrix(M, "matrix")
     n, d = M.shape
     i_star = int(np.argmax(np.abs(M).sum(axis=1)))
     eta = np.where(M[i_star] >= 0.0, 1.0, -1.0)

@@ -47,7 +47,7 @@ from itertools import combinations, islice, pairwise
 
 import numpy as np
 
-from dmlab.seeding import _check_count, child_seed
+from dmlab.seeding import _check_count, _check_matrix, child_seed
 
 _BOUND_SLACK = 1e-9            # relative slack on the swap bound; absorbs its rounding
 _CHUNK_BYTES = 1 << 23         # submatrices and grams of one batched eigvalsh call
@@ -55,10 +55,7 @@ _CHUNK_BYTES = 1 << 23         # submatrices and grams of one batched eigvalsh c
 
 def singular_extremes(M):
     """(sigma_min, sigma_max) of a matrix, from LAPACK's singular values."""
-    M = np.asarray(M, dtype=float)
-    if M.size == 0:
-        raise ValueError("matrix must be nonempty")
-    s = np.linalg.svd(M, compute_uv=False)
+    s = np.linalg.svd(_check_matrix(M, "matrix"), compute_uv=False)
     return float(s[-1]), float(s[0])
 
 
@@ -151,15 +148,6 @@ class SparseSupremum:
     method: str                    # "exact" (enumerated, always at k = 1 and m) or "greedy"
 
 
-def _as_columns(columns) -> np.ndarray:
-    X = np.asarray(columns, dtype=float)
-    if X.ndim != 2 or X.size == 0:
-        raise ValueError(f"columns must be a nonempty d x m matrix, not of shape {X.shape}")
-    if not np.isfinite(X).all():
-        raise ValueError("columns must be finite")
-    return X
-
-
 def sparse_supremum(
     columns,
     k: int,
@@ -178,7 +166,7 @@ def sparse_supremum(
     """
     if method not in ("exact", "greedy"):
         raise ValueError(f"unknown method {method!r}")
-    X = _as_columns(columns)
+    X = _check_matrix(columns, "columns")
     m = X.shape[1]
     _check_count(k, f"sparsity k must be in [1, {m}]", high=m)
     _check_count(restarts, "restarts must be an integer >= 1")
@@ -220,7 +208,7 @@ def sparse_profile(columns, ks) -> dict:
     the running top left-singular direction; nested supports make the profile
     nondecreasing by construction.  Reaching k takes k eigh calls.
     """
-    X = _as_columns(columns)
+    X = _check_matrix(columns, "columns")
     d, m = X.shape
     ks = sorted({_check_count(k, f"sparsity k must be in [1, {m}]", high=m) for k in ks})
     gram, taken, u, out = np.zeros((d, d)), np.zeros(m, dtype=bool), None, {}
@@ -278,7 +266,7 @@ def check_event_A(
     enumerated k_main are exact.  sparse_profile gives the profile at any k.
     """
     check_event_constants(kappa1, delta, theta, restarts)
-    X = _as_columns(gamma2)
+    X = _check_matrix(gamma2, "columns")
     _, m = X.shape
     sqrt_m = math.sqrt(m)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dmlab.seeding import _check_count, child_seed
+from dmlab.seeding import _check_count, _check_matrix, child_seed
 
 _NET_BLOCK = 8192  # candidates rejected per matmul in build_sphere_net
 _PROBE_BUDGET = 8192  # fresh sphere points probing the covering radius
@@ -123,12 +123,11 @@ def pajor_subset(points, max_size: int) -> np.ndarray:
     Every new point is the farthest from the current selection, until
     `max_size` points or all distinct points are selected, so for any
     epsilon the prefix whose insertion distances are >= epsilon is a maximal
-    epsilon-separated core.  Exact duplicates are never selected.  Returned in
-    selection order; prefixes are nested across max_size values.
+    epsilon-separated core.  Exact duplicates are never selected (points must
+    be finite: a NaN point, at distance NaN from all, would be picked again and
+    again).  Returned in selection order; prefixes nest across max_size values.
     """
     _check_count(max_size, "max_size must be >= 1")
-    P = np.atleast_2d(np.asarray(points, dtype=float))
-    if P.size == 0:
-        raise ValueError("points must be nonempty")
+    P = _check_matrix(np.atleast_2d(points), "points")
     order, _ = farthest_first(lambda i: np.linalg.norm(P - P[i], axis=1), 0, max_size)
     return P[np.array(order)]

@@ -98,8 +98,8 @@ def solve_parameters(
         raise ValueError("d_star must be positive")
     _check_count(n, "n must be >= 1")
     c = constants or SolverConstants()
-    if min(c.c0, c.c1, c.c2, c.c3) <= 0.0:
-        raise ValueError("solver constants c0-c3 must be positive")
+    if not all(0.0 < x <= sys.float_info.max for x in (c.c0, c.c1, c.c2, c.c3)):  # NaN too
+        raise ValueError("solver constants c0-c3 must be positive and finite")
 
     log_term = math.log(5.0 / rho)
     delta = min(c.c1 / log_term, _THETA_CAP)

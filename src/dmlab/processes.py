@@ -22,7 +22,7 @@ import numpy as np
 from dmlab.calibration import C_SUD, CONCENTRATION_C
 from dmlab.ensembles import EnsembleSpec, sample_matrix
 from dmlab.nets import farthest_first
-from dmlab.seeding import _check_count, child_seed, mc_chunks, mc_mean
+from dmlab.seeding import _check_count, _check_matrix, child_seed, mc_chunks, mc_mean
 
 _EXACT_DIM_CAP = 20
 _TAIL_MULTIPLES = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)  # tail points x / sigma*
@@ -35,11 +35,7 @@ class FiniteIndexSet:
     vectors: np.ndarray            # (size, ell)
 
     def __post_init__(self):
-        V = self.vectors
-        if V.ndim != 2 or V.size == 0:
-            raise ValueError("index set must be a nonempty (size, ell) array with ell >= 1")
-        if not np.all(np.isfinite(V)):
-            raise ValueError("index set entries must be finite")
+        object.__setattr__(self, "vectors", _check_matrix(self.vectors, "index set"))
 
     @property
     def ell(self) -> int:
@@ -51,7 +47,7 @@ class FiniteIndexSet:
 
 
 def index_set(vectors) -> FiniteIndexSet:
-    return FiniteIndexSet(np.atleast_2d(np.asarray(vectors, dtype=float)))
+    return FiniteIndexSet(np.atleast_2d(vectors))
 
 
 @dataclass(frozen=True)

@@ -49,8 +49,11 @@ REL_TOL = 1e-6  # cell comparison on another platform: |a - b| <= REL_TOL max(|a
 # not a multiple of 16 (where a row-blocked GEMM may round differently), the
 # greedy sparse search with more support columns than rows
 # (floor(theta m) = 6 > d = 4), where the swap search keeps d x d rest grams,
-# and event A at floor(theta m) = 1, where the sparse supremum is the largest
-# column norm.
+# event A at floor(theta m) = 1, where the sparse supremum is the largest
+# column norm, sign and sphere draws through a product sweep, and a product of
+# signs at m = 8, whose entries are multiples of 8^(-1/2), so the l_inf lead
+# (first max or first min, the earlier on a tie) meets real ties and the
+# descent's path depends on how it breaks them.
 EXTRA_CFGS = {
     "multistart-linf": {
         "experimentKind": "gaussianDM", "body": {"kind": "LpBall", "p": "inf"},
@@ -82,6 +85,20 @@ EXTRA_CFGS = {
         "schedule": [64], "dRule": {"rule": "fixed", "d": 8},
         "mRule": {"rule": "fixed", "m": 64}, "trials": 3,
         "constants": {"theta": 1.5 / 64, "delta": 0.2, "kappa1": 2.0, "restarts": 4},
+    },
+    "product-signs-sphere": {
+        "experimentKind": "productUniform", "body": {"kind": "LpBall", "p": "inf"},
+        "schedule": [48, 96], "dRule": {"rule": "fixed", "d": 5},
+        "mRule": {"rule": "multipleOfN", "c": 2.0}, "trials": 3,
+        "ensembles": {"row": "RademacherIID", "col": "SphericalRows"},
+        "distortionMethod": {"method": "exactRowNorm", "starts": 8},
+    },
+    "product-signs-ties": {
+        "experimentKind": "productUniform", "body": {"kind": "LpBall", "p": "inf"},
+        "schedule": [48, 96], "dRule": {"rule": "fixed", "d": 5},
+        "mRule": {"rule": "fixed", "m": 8}, "trials": 3,
+        "ensembles": {"row": "RademacherIID", "col": "RademacherIID"},
+        "distortionMethod": {"method": "exactRowNorm", "starts": 8},
     },
 }
 

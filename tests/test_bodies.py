@@ -38,7 +38,8 @@ def test_norm_errors():
 
 def test_polar_polytope_rejects_bad_vertex_arrays():
     # A 3-D array would give n = 1 and a norm of the wrong shape.
-    with pytest.raises(ValueError, match="k x n array, got 3 dimensions"):
+    match = r"dual vertices must be nonempty and 2-D, not of shape \(1, 1, 4\)"
+    with pytest.raises(ValueError, match=match):
         polar_polytope([[[1.0, 0.0, 0.0, 0.0]]])
     with pytest.raises(ValueError, match="nonempty"):
         polar_polytope([[]])
@@ -337,6 +338,12 @@ def test_lp_ball_rejects_a_nonpositive_dimension():
     for n in (0, -2):
         with pytest.raises(ValueError, match="ambient dimension must be positive"):
             LpBall(2.0, n)
+
+
+@pytest.mark.parametrize("n", [2.0, 2.5, True, "3", None])
+def test_lp_ball_takes_an_integer_dimension(n):
+    with pytest.raises(ValueError, match="ambient dimension must be positive"):
+        LpBall(2.0, n)
 
 
 @pytest.mark.parametrize("scales, match", [

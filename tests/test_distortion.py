@@ -320,6 +320,25 @@ def test_non_finite_gamma_is_rejected(method, p, bad):
         measure_distortion(LpBall(p, 16), G, method, net=net, seed=0)
 
 
+@pytest.mark.parametrize("gamma, method, p, shape", [
+    (np.ones(16), "exactSpectral", 2.0, r"\(16,\)"),
+    (np.ones((16, 0)), "exactRowNorm", math.inf, r"\(16, 0\)"),
+], ids=["1-D", "n-by-0-rownorm"])
+def test_gamma_must_be_a_nonempty_matrix(gamma, method, p, shape):
+    with pytest.raises(ValueError, match=rf"Gamma must be nonempty and 2-D, not of shape {shape}"):
+        measure_distortion(LpBall(p, 16), gamma, method, starts=4, seed=0)
+
+
+@pytest.mark.parametrize("M, match", [
+    (np.where(np.eye(4) == 1.0, np.nan, 1.0), "matrix must be finite, with no NaN or infinity"),
+    (np.ones(5), r"matrix must be nonempty and 2-D, not of shape \(5,\)"),
+    (np.ones((5, 0)), r"matrix must be nonempty and 2-D, not of shape \(5, 0\)"),
+], ids=["nan", "1-D", "n-by-0"])
+def test_witness_rejects_a_bad_matrix(M, match):
+    with pytest.raises(ValueError, match=match):
+        adversarial_linf_witness(M)
+
+
 def test_multistart_supports_polytope_bodies():
     rng = np.random.default_rng(6)
     body = polar_polytope(rng.standard_normal((10, 24)))

@@ -307,7 +307,8 @@ def test_diagnostics_reject_a_bad_q(q):
         marginal_diagnostics(spec, probe_directions=4, trials=1000, seed=0, q=q)
 
 
-@pytest.mark.parametrize("master, index", [(-1, 0), (0, -1)])
+@pytest.mark.parametrize("master, index", [(-1, 0), (0, -1), (2.7, 0), (0, 1.5), (3.0, 0),
+                                           (True, 0), (0, False)])
 def test_child_seed_rejects_negative_seeds(master, index):
     with pytest.raises(ValueError, match="must be nonnegative"):
         child_seed(master, index)

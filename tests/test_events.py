@@ -17,7 +17,7 @@ from dmlab.events import (
     sparse_profile,
     sparse_supremum,
 )
-from dmlab.seeding import child_seed
+from dmlab.seeding import _check_matrix, child_seed
 
 
 def test_extremes_orthonormal_and_diagonal():
@@ -122,9 +122,9 @@ def test_sparse_validation():
 
 @pytest.mark.parametrize("columns, match", [
     (np.where(np.arange(24).reshape(3, 8) == 13, np.nan, 1.0), "columns must be finite"),
-    (np.ones(8), r"columns must be a nonempty d x m matrix, not of shape \(8,\)"),
-    (np.ones((2, 3, 8)), r"a nonempty d x m matrix, not of shape \(2, 3, 8\)"),
-    (np.ones((0, 8)), r"a nonempty d x m matrix, not of shape \(0, 8\)"),
+    (np.ones(8), r"columns must be nonempty and 2-D, not of shape \(8,\)"),
+    (np.ones((2, 3, 8)), r"columns must be nonempty and 2-D, not of shape \(2, 3, 8\)"),
+    (np.ones((0, 8)), r"columns must be nonempty and 2-D, not of shape \(0, 8\)"),
 ])
 def test_bad_columns_are_rejected_before_any_svd(columns, match, monkeypatch):
     def no_svd(*args, **kwargs):
@@ -496,10 +496,16 @@ def test_heavy_tailed_sparse_scaling_on_desk_grid():
                 assert val <= SPARSE_HEAVYTAIL_C * ref
 
 
-@pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (3,)])
 def test_singular_extremes_rejects_an_empty_matrix(shape):
     with pytest.raises(ValueError, match="matrix must be nonempty"):
         singular_extremes(np.zeros(shape))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_singular_extremes_rejects_a_non_finite_matrix(bad):
+    with pytest.raises(ValueError, match="matrix must be finite, with no NaN or infinity"):
+        singular_extremes([[bad, 1.0]])
 
 
 # check_event_A as it was when it built the nested-greedy profile over the
@@ -528,7 +534,7 @@ def _reference_nested_greedy_profile(X, ks):
 
 def _reference_check_event_A(gamma2, kappa1, delta, theta, restarts=20, seed=0):
     check_event_constants(kappa1, delta, theta, restarts)
-    X = events._as_columns(gamma2)
+    X = _check_matrix(gamma2, "columns")
     _, m = X.shape
     sqrt_m = math.sqrt(m)
 

@@ -161,6 +161,9 @@ def test_pajor_validation():
 def test_pajor_subset_rejects_empty_points():
     with pytest.raises(ValueError, match="points must be nonempty"):
         pajor_subset(np.zeros((0, 3)), 2)
+    # Every distance to a NaN point is NaN, so farthest-first would pick it again and again.
+    with pytest.raises(ValueError, match="points must be finite"):
+        pajor_subset([[math.nan, 0.0], [1.0, 0.0], [0.0, 1.0]], 3)
 
 
 @pytest.mark.parametrize("call, match", [

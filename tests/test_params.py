@@ -71,6 +71,10 @@ def test_validation():
     for n in (math.nan, math.inf, 2.5, True):
         with pytest.raises(ValueError, match="n must be >= 1"):
             solve_parameters(0.2, 6.0, 10.0, n)
+    for field, value in (("c0", math.inf), ("c1", math.nan), ("c2", -math.inf),
+                         ("c3", math.nan), ("c1", 0.0)):
+        with pytest.raises(ValueError, match="solver constants c0-c3 must be positive and finite"):
+            solve_parameters(0.2, 6.0, 1e6, 4, SolverConstants(**{field: value}))
 
 
 def test_theta_monotone_in_c2():

@@ -215,10 +215,12 @@ def test_index_set_rejects_empty_and_non_finite_vectors(vectors, match):
         FiniteIndexSet(vectors)
 
 
-@pytest.mark.parametrize("vectors", [[], np.empty((3, 0))], ids=["empty-list", "no-columns"])
-def test_index_set_rejects_vectors_in_R0(vectors):
+@pytest.mark.parametrize("vectors, shape", [([], r"\(1, 0\)"), (np.empty((3, 0)), r"\(3, 0\)")],
+                         ids=["empty-list", "no-columns"])
+def test_index_set_rejects_vectors_in_R0(vectors, shape):
     # np.atleast_2d turns [] into one row of length 0, a point of R^0.
-    with pytest.raises(ValueError, match="ell >= 1"):
+    match = rf"index set must be nonempty and 2-D, not of shape {shape}"
+    with pytest.raises(ValueError, match=match):
         index_set(vectors)
 
 
