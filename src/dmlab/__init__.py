@@ -17,7 +17,7 @@ from dmlab.bodies import (
     polar_polytope,
 )
 from dmlab.ensembles import marginal_diagnostics, product_spec, sample_matrix, sample_product
-from dmlab.nets import build_sphere_net
+from dmlab.nets import build_sphere_net, sphere_cover
 from dmlab.processes import (
     bernoulli_gaussian_ratio,
     bernoulli_lp,

@@ -9,11 +9,11 @@ fields it reads.  The config parser reads the same table.
   exactRowNorm   LpBall(inf, n) bodies; the supremum equals the largest row
                  norm of Gamma (sup_x max_i <row_i, x> = max_i ||row_i||_2).
                  The infimum comes from the optimizer.
-  netCertified   evaluates the norm on a separated sphere net and applies the
-                 convexity correction: with M = net max and slack
-                 s = rho * M / (1 - rho), [net min - s, net max + s] brackets
-                 the true [inf, sup].  True bounds, practical only for small d;
-                 refused when rho >= 1 or the probed covering radius exceeds rho.
+  netCertified   evaluates the norm on a sphere net of covering radius rho < 1
+                 and applies the convexity correction: with M = net max and
+                 slack s = rho * M / (1 - rho), [net min - s, net max + s]
+                 brackets the true [inf, sup].  Runs use `sphere_cover`, of proven
+                 radius; a caller's greedy net is refused if its probed radius exceeds rho.
   multiStartOpt  projected subgradient ascent/descent from random plus axis
                  starts, with one evaluation of the body per step; a start
                  halves its step on every rejected move and retires once the
@@ -38,9 +38,10 @@ from dmlab.seeding import _check_count, _check_matrix, child_seed
 
 _PHI_FLOOR = 1e-300
 _OPT_ITERS = 500  # iteration cap of each multi-start descent in measure_distortion
+_NET_BLOCK_BYTES = 1 << 21  # per block of net points mapped by Gamma in netCertified
 
 # method -> (the LpBall p it needs, or None for any body; the distortionMethod
-# fields it reads besides `method`).
+# fields it takes besides `method`; netCertified's candidateBudget is accepted, unread).
 METHODS = {
     "exactSpectral": (2.0, ()),
     "exactRowNorm": (math.inf, ("starts",)),
@@ -141,8 +142,10 @@ def measure_distortion(
             raise ValueError(f"netCertified needs a net with rho < 1, got {net.rho:g}")
         if net.covering_radius_estimate > net.rho:
             raise ValueError("net covering radius exceeds rho; certification unavailable")
-        vals = norm_many(body, net.points @ gamma.T)
-        net_max, net_min = float(vals.max()), float(vals.min())
+        net_max, net_min, rows = -math.inf, math.inf, max(1, _NET_BLOCK_BYTES // (8 * n))
+        for start in range(0, net.size, rows):  # running extremes, one block at a time
+            vals = norm_many(body, net.points[start:start + rows] @ gamma.T)
+            net_max, net_min = max(net_max, float(vals.max())), min(net_min, float(vals.min()))
         slack = net.rho * net_max / (1.0 - net.rho)
         sup_est = net_max + slack
         inf_est = net_min - slack

@@ -1,10 +1,10 @@
-"""Separated point sets: greedy sphere nets and farthest-first subsets.
+"""Sphere nets, a proven cover and a greedy packing, and farthest-first subsets.
 
-A rho-net here is a maximal rho-separated subset of the candidate pool (axis
-points plus uniform random sphere points), so separation is certified by
-construction while maximality with respect to the whole sphere is only
-approximate; the covering radius is estimated on a fresh probe sample, and
-`measure_distortion` refuses to certify with a net whose estimate exceeds rho.
+`sphere_cover` maps a grid of cell centers on the cube's faces onto the sphere,
+with a proven covering radius; the runner's `netCertified` sweeps use it.
+`build_sphere_net` is a maximal rho-separated subset of axis points plus random
+sphere points: separated by construction, but its covering radius is estimated
+on a fresh probe sample, and `measure_distortion` refuses one above rho.
 
 The greedy pass rejects candidates in blocks: one matmul against the points
 accepted so far drops every candidate of a block that an earlier accept
@@ -26,6 +26,7 @@ from dmlab.seeding import _check_count, _check_matrix, child_seed
 
 _NET_BLOCK = 8192  # candidates rejected per matmul in build_sphere_net
 _PROBE_BUDGET = 8192  # fresh sphere points probing the covering radius
+_COVER_CAP = 1 << 20  # most points sphere_cover builds
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,6 +48,28 @@ def _sphere_points(rng: np.random.Generator, count: int, dim: int) -> np.ndarray
     norms[norms == 0.0] = 1.0
     X /= norms
     return X
+
+
+def sphere_cover(dim: int, rho: float) -> SphereNet:
+    """Cover of the unit sphere of R^dim with proven covering radius r <= rho.
+
+    The 2 dim faces of [-1, 1]^dim are split into k^(dim-1) cells of side 2/k,
+    k = ceil(sqrt(dim-1)/rho).  A face point is within r = sqrt(dim-1)/k of its
+    cell's center, and x -> x/||x||, the metric projection onto the unit ball,
+    is 1-Lipschitz for ||x|| >= 1: the images cover at r, the `covering_radius_estimate`.
+    """
+    _check_count(dim, "dim must be >= 1")
+    if not rho > 0.0:
+        raise ValueError("rho must be > 0")
+    half_diag = math.sqrt(dim - 1)
+    k = max(1, math.ceil(min(half_diag / rho, _COVER_CAP)))  # an inf quotient has no ceil
+    k += half_diag / k > rho  # a quotient rounded down onto the integer k
+    if math.log2(2 * dim) + (dim - 1) * math.log2(k) > math.log2(_COVER_CAP):  # no huge int
+        raise ValueError(f"a cover of 2*{dim}*{k}^{dim - 1} points exceeds the cap {_COVER_CAP}")
+    grid = (2.0 * np.indices((k,) * (dim - 1)).reshape(dim - 1, k ** (dim - 1)).T + 1.0) / k - 1.0
+    points = np.concatenate([np.insert(grid, i, s, axis=1) for i in range(dim) for s in (1.0, -1.0)])
+    points /= np.linalg.norm(points, axis=1, keepdims=True)
+    return SphereNet(dim=dim, rho=rho, points=points, covering_radius_estimate=half_diag / k)
 
 
 def build_sphere_net(

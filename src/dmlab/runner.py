@@ -51,7 +51,7 @@ from dmlab.distortion import METHODS, adversarial_linf_witness, measure_distorti
 from dmlab.ensembles import KINDS as ENSEMBLE_KINDS
 from dmlab.ensembles import EnsembleSpec, product_spec, sample_matrix, sample_product
 from dmlab.events import check_event_A, check_event_constants
-from dmlab.nets import build_sphere_net
+from dmlab.nets import sphere_cover
 from dmlab.params import SolverConstants, solve_parameters
 from dmlab.processes import TAIL_MIN_TRIALS, concentration_check, emp_sup, index_set, sudakov_lower
 from dmlab.seeding import child_seed
@@ -209,7 +209,8 @@ def parse_config(cfg: dict) -> ExperimentConfig:
                      "netCertified needs rho in (0, 1/2): the slack rho*M/(1-rho) "
                      "reaches the net maximum M at rho = 1/2, so every certified "
                      "infimum would be <= 0")
-            _require(_is_int(dist.get("candidateBudget")), "netCertified needs a candidateBudget")
+            _require(_is_int(dist.get("candidateBudget", 1)),
+                     "distortionMethod.candidateBudget must be an integer >= 1")
         distortion = {"starts": 32, **dist}
     need_p = METHODS[method][0] if method else kind.lp
     if need_p is not None:
@@ -338,11 +339,8 @@ def _schedule_context(config: ExperimentConfig, n_index: int) -> _ScheduleContex
     m_rule = config.raw.get("mRule")
     m = _M_RULES[m_rule["rule"]].derive(m_rule, n_index, n, d_star) if m_rule else 0
 
-    net = None
     dist = config.distortion
-    if dist and dist["method"] == "netCertified":
-        net = build_sphere_net(d, dist["rho"], dist["candidateBudget"],
-                               seed=child_seed(config.master_seed, 920_000 + n_index))
+    net = sphere_cover(d, dist["rho"]) if dist and dist["method"] == "netCertified" else None
     return _ScheduleContext(n=n, d=d, m=m, body=body, ell_k=ell_k, d_star=d_star, net=net)
 
 

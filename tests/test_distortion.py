@@ -8,9 +8,11 @@ from dmlab import bodies
 from dmlab.bodies import (LpBall, _norms_and_leads, _pull_back, diagonal_image, mean_width,
                           norm_many, polar_polytope)
 from dmlab.calibration import GAUSSIAN_BAND
-from dmlab.distortion import _multistart, adversarial_linf_witness, measure_distortion
+from dmlab.distortion import (_NET_BLOCK_BYTES, _multistart, adversarial_linf_witness,
+                              measure_distortion)
 from dmlab.events import singular_extremes
-from dmlab.nets import build_sphere_net
+from dmlab.ensembles import product_spec, sample_product
+from dmlab.nets import build_sphere_net, sphere_cover
 
 
 def test_exact_spectral_on_scaled_isometry():
@@ -243,13 +245,42 @@ def test_all_sign_patterns_map_the_sphere_onto_l1_norms(method, d):
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 8.0, math.inf])
 def test_net_certified_brackets_the_known_answers_at_d_2(p):
-    net = build_sphere_net(2, 0.3, 10**4, 3)
     lo, hi = sorted((1.0, 2 ** (1 / p - 0.5)))
-    for gamma in (_orthogonal_map("identity", 2), _orthogonal_map("rotation", 2)):
-        rep = measure_distortion(LpBall(p, 2), gamma, "netCertified", net=net)
-        assert rep.inf_est <= lo and rep.sup_est >= hi
-    rep = measure_distortion(LpBall(math.inf, 4), _sign_patterns(2), "netCertified", net=net)
-    assert rep.inf_est <= 1.0 and rep.sup_est >= math.sqrt(2)
+    for net in (build_sphere_net(2, 0.3, 10**4, 3), sphere_cover(2, 0.3)):
+        for gamma in (_orthogonal_map("identity", 2), _orthogonal_map("rotation", 2)):
+            rep = measure_distortion(LpBall(p, 2), gamma, "netCertified", net=net)
+            assert rep.inf_est <= lo and rep.sup_est >= hi
+        rep = measure_distortion(LpBall(math.inf, 4), _sign_patterns(2), "netCertified", net=net)
+        assert rep.inf_est <= 1.0 and rep.sup_est >= math.sqrt(2)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_cover_bracket_holds_the_descent_inf_and_the_exact_sup(d):
+    # productUniform at n = 64, m = 2n: the cover's bracket is a proven one, so
+    # its lower end is at most any value the descent attains, and its upper end
+    # at least the exact sup, the largest row norm.
+    cover, body = sphere_cover(d, 0.3), LpBall(math.inf, 64)
+    spec = product_spec("UniformPM1", "UniformPM1", n=64, d=d, m=128)
+    for seed in range(20):
+        gamma = sample_product(spec, seed)[0]
+        rep = measure_distortion(body, gamma, "netCertified", net=cover)
+        descent = measure_distortion(body, gamma, "exactRowNorm", seed=seed)
+        assert rep.inf_est <= descent.inf_est
+        assert rep.sup_est >= np.linalg.norm(gamma, axis=1).max() == descent.sup_est
+
+
+@pytest.mark.parametrize("net", [sphere_cover(2, 0.3), sphere_cover(3, 0.3),
+                                 sphere_cover(4, 0.3), build_sphere_net(3, 0.4, 20000, 7)],
+                         ids=["cover-2", "cover-3", "cover-4", "greedy-3"])
+def test_blocked_net_evaluation_matches_one_block(net, monkeypatch):
+    body = LpBall(math.inf, 64)
+    gamma = np.random.default_rng(net.size).standard_normal((64, net.dim))
+    assert net.size <= _NET_BLOCK_BYTES // (8 * 64)  # one block at the default block size
+    whole = measure_distortion(body, gamma, "netCertified", net=net)
+    monkeypatch.setattr("dmlab.distortion._NET_BLOCK_BYTES", 3 * 8 * 64)  # three rows a block
+    blocked = measure_distortion(body, gamma, "netCertified", net=net)
+    assert (blocked.net_max, blocked.net_min) == (whole.net_max, whole.net_min)
+    assert (blocked.sup_est, blocked.inf_est) == (whole.sup_est, whole.inf_est)
 
 
 def test_net_certified_rejects_uncovered_net():

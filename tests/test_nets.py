@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dmlab.nets import _NET_BLOCK, build_sphere_net, pajor_subset
+from dmlab.nets import _NET_BLOCK, _sphere_points, build_sphere_net, pajor_subset, sphere_cover
 from dmlab.seeding import child_seed
 
 
@@ -113,6 +113,61 @@ def test_build_validation():
         build_sphere_net(2, 0.5, 0, 0)
 
 
+# (dim, rho, point count 2 dim k^(dim-1) with k = ceil(sqrt(dim-1)/rho))
+_COVER_GRID = [(2, 0.3, 16), (3, 0.3, 150), (3, 0.45, 96), (4, 0.3, 1728), (5, 0.5, 2560)]
+
+
+@pytest.mark.parametrize("dim,rho,size", _COVER_GRID)
+def test_sphere_cover_size_norms_and_proven_radius(dim, rho, size):
+    cover = sphere_cover(dim, rho)
+    k = math.ceil(math.sqrt(dim - 1) / rho)
+    assert cover.size == size == 2 * dim * k ** (dim - 1)
+    assert (cover.dim, cover.rho, cover.points.shape) == (dim, rho, (size, dim))
+    assert np.abs(np.linalg.norm(cover.points, axis=1) - 1.0).max() <= 1e-15
+    assert cover.covering_radius_estimate == math.sqrt(dim - 1) / k <= rho
+
+
+@pytest.mark.parametrize("dim,rho,size", _COVER_GRID)
+def test_sphere_cover_is_within_its_radius_of_every_probe(dim, rho, size):
+    cover = sphere_cover(dim, rho)
+    probes = _sphere_points(np.random.default_rng(dim), 10**5, dim)
+    best_dot = np.concatenate([(probes[i:i + 2048] @ cover.points.T).max(axis=1)
+                               for i in range(0, len(probes), 2048)])
+    farthest = float(np.sqrt(np.maximum(0.0, 2.0 - 2.0 * best_dot)).max())
+    assert 0.5 * cover.covering_radius_estimate < farthest <= cover.covering_radius_estimate
+
+
+def test_sphere_cover_radius_holds_where_the_quotient_rounds_onto_an_integer():
+    # 1/rho rounds to 5.0, but 1/5 > rho: five cells a face would miss rho
+    rho = math.nextafter(0.2, 0.0)
+    cover = sphere_cover(2, rho)
+    assert cover.size == 2 * 2 * 6 and cover.covering_radius_estimate <= rho
+
+
+def test_sphere_cover_of_the_zero_sphere():
+    cover = sphere_cover(1, 0.3)
+    assert cover.points.tolist() == [[1.0], [-1.0]]
+    assert cover.covering_radius_estimate == 0.0
+
+
+@pytest.mark.parametrize("rho", [0.0, -0.5, math.nan])
+def test_sphere_cover_rejects_a_nonpositive_rho(rho):
+    with pytest.raises(ValueError, match=r"^rho must be > 0$"):
+        sphere_cover(3, rho)
+
+
+def test_sphere_cover_refuses_above_the_cap_before_allocating():
+    # 2*30*539^29 points: no array of that size fits in any memory
+    with pytest.raises(ValueError, match=r"^a cover of 2\*30\*539\^29 points exceeds the cap"):
+        sphere_cover(30, 0.01)
+    with pytest.raises(ValueError, match="exceeds the cap"):  # sqrt(2)/rho overflows to inf
+        sphere_cover(3, 1e-310)
+    # at dim 2 the cap 2^20 is k = 2^18 cells a face: one more cell per face refuses
+    assert sphere_cover(2, 2.0**-18).size == 2**20
+    with pytest.raises(ValueError, match=r"^a cover of 2\*2\*262145\^1 points"):
+        sphere_cover(2, 1 / (2**18 + 1))
+
+
 def test_pajor_removes_duplicates():
     pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
     sub = pajor_subset(pts, 10)
@@ -173,8 +228,11 @@ def test_pajor_subset_rejects_empty_points():
     (lambda: build_sphere_net(True, 0.5, 10, seed=0), "dim must be >= 1"),
     (lambda: build_sphere_net(2, 0.5, 10.5, seed=0), "candidate_budget must be >= 1"),
     (lambda: build_sphere_net(2, 0.5, True, seed=0), "candidate_budget must be >= 1"),
+    (lambda: sphere_cover(2.0, 0.5), "dim must be >= 1"),
+    (lambda: sphere_cover(True, 0.5), "dim must be >= 1"),
+    (lambda: sphere_cover(0, 0.5), "dim must be >= 1"),
 ], ids=["pajor-bool", "pajor-float", "net-dim-float", "net-dim-bool", "net-budget-float",
-        "net-budget-bool"])
+        "net-budget-bool", "cover-dim-float", "cover-dim-bool", "cover-dim-zero"])
 def test_counts_must_be_integers(call, match):
     with pytest.raises(ValueError, match=match):
         call()

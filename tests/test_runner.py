@@ -833,6 +833,42 @@ def test_net_certified_rho_must_be_below_one_half():
     parse_config(cfg(0.3))
 
 
+_NET_AT_D_3 = {**KIND_CFGS["productLogConcave"], "dRule": {"rule": "fixed", "d": 3}, "trials": 2,
+               "distortionMethod": {"method": "netCertified", "rho": 0.45,
+                                    "candidateBudget": 10**5}}
+
+
+def test_net_certified_at_d_3_fails_no_trial_at_any_master_seed(tmp_path):
+    # A greedy net of 10^5 candidates failed every trial of master seed 2 here:
+    # its covering radius, probed at 8192 points, read 0.4506 > rho.  The
+    # runner's cover has the proven radius 0.354 at 96 points.
+    for seed in range(10):
+        res = run_experiment({**_NET_AT_D_3, "masterSeed": seed}, out_dir=tmp_path / str(seed))
+        assert res.failures == 0 and len(res.records) == 2
+        assert {r.method_tags for r in res.records} == {
+            "sup=netCertified(rho=0.45,size=96);inf=netCertified(rho=0.45,size=96)"}
+
+
+def test_candidate_budget_is_accepted_but_unread(tmp_path):
+    cfg = KIND_CFGS["productLogConcave"]
+    dist = {k: v for k, v in cfg["distortionMethod"].items() if k != "candidateBudget"}
+    csvs = []
+    for i, method in enumerate([cfg["distortionMethod"], {**dist, "candidateBudget": 10**6}, dist]):
+        res = run_experiment({**cfg, "distortionMethod": method}, out_dir=tmp_path / str(i))
+        # experimentId hashes the config: the one column that differs, masked
+        csvs.append(res.csv_path.read_bytes().replace(res.records[0].experiment_id.encode(), b"id"))
+    assert csvs[0] == csvs[1] == csvs[2]
+
+
+@pytest.mark.parametrize("budget", [0, 2.5, True, "many", None])
+def test_a_given_candidate_budget_must_be_a_positive_integer(budget):
+    cfg = KIND_CFGS["productLogConcave"]
+    dist = {**cfg["distortionMethod"], "candidateBudget": budget}
+    with pytest.raises(ConfigError,
+                       match=r"^distortionMethod\.candidateBudget must be an integer >= 1$"):
+        parse_config({**cfg, "distortionMethod": dist})
+
+
 def test_demo_configs_run_through_cli(tmp_path, capsys):
     cfg = json.loads((DEMO_CONFIGS / "gaussian_sanity.json").read_text())
     cfg_path = tmp_path / "gaussian_sanity.json"
