@@ -27,9 +27,12 @@ EXIT_PARTIAL = 3
 def _load_json(path: str) -> dict:
     try:
         with Path(path).open("r", encoding="utf-8") as f:
-            return json.load(f)
+            value = json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path} must hold a JSON object")
+    return value
 
 
 def _cmd_run(args) -> int:
@@ -48,7 +51,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_plot(args) -> int:
     out = args.out or (Path(args.summary).with_suffix("") .name + f".{args.kind}.csv")
-    path = emit_plot_data(args.summary, args.kind, out)
+    path = emit_plot_data(_load_json(args.summary), args.kind, out)
     print(f"wrote {path}")
     return EXIT_OK
 

@@ -15,11 +15,13 @@ are isotropic (identity covariance per vector copy):
                      whole vector resampled while ||X||_2 > 100 sqrt(dim)
 
 Each law is one row of the table `_LAWS`: whether it draws vector copies, and
-its draw.  Entry-level kinds fill the matrix directly.  Vector-level kinds
-(spherical, simplex, heavy-tailed) draw iid vector copies along `vector_axis`.
+its draw.  Entry-level kinds fill a given matrix in place, with the same bits
+as numpy's fresh draw.  Vector-level kinds (spherical, simplex, heavy-tailed)
+draw iid vector copies along `vector_axis`.
 
-`sample_product` draws the m x n row factor in row blocks and adds each
-block's share to Gamma, so its memory is O(block + n d + d m), not O(m n).
+`sample_product` draws the m x n row factor into one reused row block and
+adds each block's share to Gamma, so its memory is O(block + n d + d m), not
+O(m n).
 """
 
 from __future__ import annotations
@@ -39,8 +41,10 @@ _T_SCALE = 1.0 / math.sqrt(_T_DOF / (_T_DOF - 2.0))  # unit variance
 _REJECTION_RADIUS = 100.0
 
 _SIZE_CAP = 2**33  # entries; guards accidental huge allocations
-# Row-factor bytes per block of sample_product.  At n = 4096, m = 8192 on a
-# 2-vCPU Xeon with one BLAS thread, a draw took 0.275 s (median of 15) with
+# Row-factor bytes per block of sample_product.  The partition fixes the
+# order in which Gamma sums its GEMM parts, so changing it moves Gamma's last
+# bits.  Chosen when each block was a fresh array: at n = 4096, m = 8192 on
+# a 2-vCPU Xeon with one BLAS thread, a draw took 0.275 s (median of 15) with
 # 2 MiB blocks, against 0.287 s with 1 MiB and 0.307 s with 8 MiB.
 _PRODUCT_BLOCK_BYTES = 1 << 21
 
@@ -72,7 +76,7 @@ def _simplex_ball_vectors(rng: np.random.Generator, count: int, dim: int) -> np.
     # random signs spread it over B_1^dim, then the isotropic radius is applied.
     E = rng.standard_exponential((count, dim + 1))
     simplex = E[:, :dim] / E.sum(axis=1, keepdims=True)
-    signs = _signs(rng, count, dim)
+    signs = _signs(rng, np.empty((count, dim)))
     radius = math.sqrt((dim + 1) * (dim + 2) / 2.0)
     return radius * signs * simplex
 
@@ -92,22 +96,30 @@ def _spherical_vectors(rng: np.random.Generator, count: int, dim: int) -> np.nda
     return math.sqrt(dim) * G / np.linalg.norm(G, axis=1, keepdims=True)
 
 
-def _signs(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    bits = rng.integers(0, 2**32, (rows, cols), dtype=np.uint32)
+def _signs(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    bits = rng.integers(0, 2**32, out.shape, dtype=np.uint32)
     bits >>= 31  # the bit that integers(0, 2) returns, without rejection
-    signs = bits * 2.0
-    signs -= 1.0
-    return signs
+    np.multiply(bits, 2.0, out=out)
+    out -= 1.0
+    return out
 
 
-# law -> (whether it draws vector copies, its draw (Generator, rows, cols) -> matrix).
-# A vector law draws `rows` copies of dimension `cols`; an entry law fills the
-# matrix row by row.
+def _uniform(rng: np.random.Generator, out: np.ndarray, scale: float = 1.0) -> None:
+    # numpy's uniform(-1, 1) is -1 + 2u; (u - 1/2) * 2 scale is scale (2u - 1)
+    # rounded once, since u - 1/2 is exact: the same bits, in place.
+    rng.random(out=out)
+    out -= 0.5
+    out *= 2.0 * scale
+
+
+# law -> (whether it draws vector copies, its draw).  A vector law maps
+# (Generator, rows, cols) to `rows` new copies of dimension `cols`; an entry
+# law fills a given C-contiguous float64 matrix row by row, (Generator, out).
 _LAWS = {
-    "GaussianIID": (False, lambda g, r, c: g.standard_normal((r, c))),
+    "GaussianIID": (False, lambda g, out: g.standard_normal(out=out)),
     "SphericalRows": (True, _spherical_vectors),
-    "UniformPM1": (False, lambda g, r, c: g.uniform(-1.0, 1.0, (r, c))),
-    "UniformIsotropic": (False, lambda g, r, c: math.sqrt(3.0) * g.uniform(-1.0, 1.0, (r, c))),
+    "UniformPM1": (False, _uniform),
+    "UniformIsotropic": (False, lambda g, out: _uniform(g, out, math.sqrt(3.0))),
     "RademacherIID": (False, _signs),
     "LogConcaveSimplex": (True, _simplex_ball_vectors),
     "HeavyTailedBounded": (True, _heavy_tailed_vectors),
@@ -115,7 +127,9 @@ _LAWS = {
 KINDS = tuple(_LAWS)
 
 
-def sample_matrix(spec: EnsembleSpec, seed: int | np.random.Generator) -> np.ndarray:
+def sample_matrix(
+    spec: EnsembleSpec, seed: int | np.random.Generator, out: np.ndarray | None = None
+) -> np.ndarray:
     """Materialize one draw; deterministic given (spec, seed).
 
     `seed` is an int or a Generator.  A Generator is drawn from as it stands,
@@ -125,14 +139,28 @@ def sample_matrix(spec: EnsembleSpec, seed: int | np.random.Generator) -> np.nda
     exponentials before its signs and HeavyTailedBounded redraws rejected
     vectors after the whole batch, so a blocked draw of those laws is a
     different valid draw.
+
+    `out`, a C-contiguous float64 array of the spec's shape, receives the draw
+    and is returned; the bits and the Generator's state afterwards are those
+    of a draw without it.  Entry-level laws fill it in place; vector-level
+    laws copy their draw into it.
     """
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer, np.random.Generator)):
         raise TypeError(f"seed must be an int or a numpy Generator, got {type(seed).__name__}")
+    shape = (spec.rows, spec.cols)
+    if out is not None and (out.shape != shape or out.dtype != np.float64):
+        raise ValueError(f"out is {out.dtype} of shape {out.shape}, the spec float64 of {shape}")
     rng = np.random.default_rng(seed)
     vectors, draw = _LAWS[spec.kind]
-    if not vectors or spec.vector_axis == "rows":
-        return draw(rng, spec.rows, spec.cols)
-    return draw(rng, spec.cols, spec.rows).T
+    if not vectors:
+        out = np.empty(shape) if out is None else out
+        draw(rng, out)
+        return out
+    x = draw(rng, *shape) if spec.vector_axis == "rows" else draw(rng, spec.cols, spec.rows).T
+    if out is None:
+        return x
+    out[...] = x
+    return out
 
 
 @dataclass(frozen=True)
@@ -175,21 +203,23 @@ def sample_product(spec: ProductEnsembleSpec, seed: int):
     Gamma2 is d x m with columns X_i; Gamma = m^(-1/2) sum_i Z_i X_i^T is the
     assembled n x d map, Z_i being the rows of the m x n row factor.  The row
     factor is drawn in blocks of `_PRODUCT_BLOCK_BYTES` through `sample_matrix`
-    from one Generator seeded with child_seed(seed, 1), each block scaled by
-    1/sqrt(m) and folded into Gamma, so memory is O(block + n d + d m).  A
-    factor that fits in one block gives the Gamma of one whole draw, bit for
-    bit.  With more blocks, the entry-level and SphericalRows row laws give
-    the same rows and Gamma differs only by the GEMM's summation order; the
-    other vector-level row laws give a different valid draw (see
-    `sample_matrix`).
+    from one Generator seeded with child_seed(seed, 1) into one row buffer
+    allocated per call, each block scaled by 1/sqrt(m) in place and folded
+    into Gamma, so memory is O(block + n d + d m).  A factor that fits in one
+    block gives the Gamma of one whole draw, bit for bit.  With more blocks,
+    the entry-level and SphericalRows row laws give the same rows and Gamma
+    differs only by the GEMM's summation order; the other vector-level row
+    laws give a different valid draw (see `sample_matrix`).
     """
     g2 = sample_matrix(spec.col_spec, child_seed(seed, 2))
     rng = np.random.default_rng(child_seed(seed, 1))
     block = max(1, _PRODUCT_BLOCK_BYTES // (8 * spec.n))
+    buf = np.empty((min(block, spec.m), spec.n))
     gamma = None
     for start in range(0, spec.m, block):
         stop = min(start + block, spec.m)
-        z = sample_matrix(replace(spec.row_spec, rows=stop - start), rng) / math.sqrt(spec.m)
+        z = sample_matrix(replace(spec.row_spec, rows=stop - start), rng, out=buf[: stop - start])
+        z /= math.sqrt(spec.m)
         part = z.T @ g2[:, start:stop].T
         gamma = part if gamma is None else np.add(gamma, part, out=gamma)
     return gamma, g2

@@ -73,6 +73,7 @@ _TOP_KEYS = {"experimentKind", "ensembles", "schedule", "trials", "masterSeed", 
 
 _PROCESS_DEFAULTS = {"setSize": 32, "setDim": 16, "innerTrials": 10_000, "supTrials": 2000}
 _EVENT_DEFAULTS = {"kappa1": 2.0, "restarts": 20, "rho": 0.25, "q": 6.0}
+_OUTPUT_DEFAULTS = {"csv": "trials.csv", "summary": "summary.json"}
 _SOLVER_KEYS = ("rho", "q", "c1", "c2")  # theta and delta depend on these alone
 
 
@@ -245,8 +246,12 @@ def parse_config(cfg: dict) -> ExperimentConfig:
         _require(_is_int(value, low), f"process.{key} must be an integer >= {low}")
 
     outputs = cfg.get("outputs", {})
-    _expect_keys(outputs, {"csv", "summary"}, "outputs")
-    _require(all(isinstance(v, str) for v in outputs.values()), "outputs must be file names")
+    _expect_keys(outputs, set(_OUTPUT_DEFAULTS), "outputs")
+    names = list({**_OUTPUT_DEFAULTS, **outputs}.values())
+    _require(all(isinstance(v, str) and v not in ("", "..") and Path(v).name == v
+                 and "\0" not in v for v in names),
+             f"outputs must be bare file names, got {names}")
+    _require(names[0] != names[1], f"outputs.csv and outputs.summary are both {names[0]!r}")
 
     digest = hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:12]
     return ExperimentConfig(
@@ -527,9 +532,9 @@ def run_experiment(config: ExperimentConfig | dict, out_dir=".", threads: int = 
 
     out_dir = Path(out_dir)  # made only once the sweep has its records
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = config.raw.get("outputs", {})
-    csv_path = out_dir / outputs.get("csv", "trials.csv")
-    summary_path = out_dir / outputs.get("summary", "summary.json")
+    outputs = {**_OUTPUT_DEFAULTS, **config.raw.get("outputs", {})}
+    csv_path = out_dir / outputs["csv"]
+    summary_path = out_dir / outputs["summary"]
 
     rows = [_to_row(rec) for rec in records]
     with csv_path.open("w", newline="", encoding="utf-8") as f:
@@ -594,6 +599,12 @@ def verify_summary(csv_path, summary: dict) -> bool:
 _PLOT_KINDS = ("ratioVsN", "ratioVsD", "tailCurve")
 
 
+def _check_entries(entries, name: str, keys: list) -> None:
+    _require(isinstance(entries, list) and all(isinstance(e, dict) and set(keys) <= set(e)
+                                               for e in entries),
+             f"the summary's {name!r} must be a list of objects with keys {keys}")
+
+
 def emit_plot_data(summary, plot_kind: str, out_path) -> Path:
     """Write a small delimited table (header + data rows) for external plotting."""
     if isinstance(summary, (str, Path)):
@@ -601,6 +612,7 @@ def emit_plot_data(summary, plot_kind: str, out_path) -> Path:
             summary = json.load(f)
     if plot_kind not in _PLOT_KINDS:
         raise ConfigError(f"plot kind must be one of {_PLOT_KINDS}")
+    _require(isinstance(summary, dict), "the summary must be a JSON object")
     out_path = Path(out_path)
 
     if plot_kind == "tailCurve":
@@ -608,12 +620,14 @@ def emit_plot_data(summary, plot_kind: str, out_path) -> Path:
         if not tail:
             raise ConfigError("summary lacks the 'tail' series required by tailCurve")
         header = ["x", "empirical", "bound"]
-        rows = [[row["x"], row["empirical"], row["bound"]] for row in tail]
+        _check_entries(tail, "tail", header)
+        rows = [[row[k] for k in header] for row in tail]
     else:
         series = summary.get("series")
         if not series:
             raise ConfigError("summary lacks the 'series' list")
         x_key = "n" if plot_kind == "ratioVsN" else "d"
+        _check_entries(series, "series", [x_key])
         keys = ("medianRatio", "q25", "q75")
         if plot_kind == "ratioVsD" and any("medianWitnessRatio" in e for e in series):
             keys = ("medianWitnessRatio", "witnessQ25", "witnessQ75")

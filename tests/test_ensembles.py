@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dmlab import ensembles
 from dmlab.calibration import PAOURIS_C1
 from dmlab.ensembles import (
     KINDS,
@@ -111,6 +112,37 @@ def test_law_table_draws_the_reference_laws(kind, vector_axis):
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
+@pytest.mark.parametrize("vector_axis", ["rows", "cols"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_draw_into_a_buffer_equals_the_fresh_draw(kind, vector_axis):
+    # `out` is the leading rows of a larger C-contiguous buffer; the rows below
+    # it must stay as they were
+    spec = EnsembleSpec(kind, 9, 5, vector_axis=vector_axis)
+    big = np.full((13, 5), np.nan)
+    out = big[:9]
+    rng = np.random.default_rng(23)
+    got = sample_matrix(spec, rng, out=out)
+    ref = np.random.default_rng(23)
+    want = _reference_matrix(kind, ref, 9, 5, vector_axis)
+    assert got is out and np.shares_memory(got, big)
+    assert np.array_equal(big[:9], want)
+    assert np.isnan(big[9:]).all()
+    assert rng.bit_generator.state == ref.bit_generator.state
+    # a buffer holding an earlier draw is overwritten, not added to
+    assert np.array_equal(sample_matrix(spec, 23, out=out), want)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_buffer_of_another_shape_or_dtype_is_rejected(kind):
+    spec = EnsembleSpec(kind, 4, 3)
+    for shape in [(3, 4), (4, 2), (5, 3), (12,)]:
+        with pytest.raises(ValueError, match="the spec float64 of"):
+            sample_matrix(spec, 1, out=np.empty(shape))
+    for dtype in (np.float32, np.int64, np.complex128):
+        with pytest.raises(ValueError, match="the spec float64 of"):
+            sample_matrix(spec, 1, out=np.zeros((4, 3), dtype))
+
+
 def test_vector_axis_transposes_vector_kinds():
     rows = sample_matrix(EnsembleSpec("LogConcaveSimplex", 40, 6, vector_axis="rows"), 7)
     cols = sample_matrix(EnsembleSpec("LogConcaveSimplex", 6, 40, vector_axis="cols"), 7)
@@ -186,6 +218,56 @@ def test_streamed_product_matches_one_draw(monkeypatch, block_bytes, n, m, z_kin
     np.testing.assert_allclose(G, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
     if block_bytes is None:
         assert np.array_equal(G, want)
+
+
+def _fresh_block_product(ps, seed):
+    """sample_product with a fresh array per row block, as the draw was written
+    before the block buffer was reused."""
+    g2 = sample_matrix(ps.col_spec, child_seed(seed, 2))
+    rng = np.random.default_rng(child_seed(seed, 1))
+    block = max(1, ensembles._PRODUCT_BLOCK_BYTES // (8 * ps.n))
+    gamma = None
+    for start in range(0, ps.m, block):
+        stop = min(start + block, ps.m)
+        z = sample_matrix(replace(ps.row_spec, rows=stop - start), rng) / math.sqrt(ps.m)
+        part = z.T @ g2[:, start:stop].T
+        gamma = part if gamma is None else np.add(gamma, part, out=gamma)
+    return gamma, g2
+
+
+@pytest.mark.parametrize("block_rows, m", [
+    (None, 40),  # one block at the module's block size
+    (40, 40),    # exactly one block
+    (39, 40),    # a last block of one row
+    (7, 40),     # 40 is not a multiple of 7
+    (1, 12),     # one row per block
+])
+@pytest.mark.parametrize("z_kind", KINDS)
+def test_reused_block_equals_fresh_blocks(monkeypatch, block_rows, m, z_kind):
+    n = 24
+    if block_rows is not None:
+        monkeypatch.setattr("dmlab.ensembles._PRODUCT_BLOCK_BYTES", 8 * n * block_rows)
+    ps = product_spec(z_kind, "UniformIsotropic", n=n, d=5, m=m)
+    G, G2 = sample_product(ps, 9)
+    want, want2 = _fresh_block_product(ps, 9)
+    assert (G == want).all() and (G2 == want2).all()
+
+
+def test_product_draw_memory_is_one_block_plus_the_factors():
+    # At (n, d, m) = (2048, 15, 4096) a row block is 2 MiB.  A fresh array per
+    # block, and a second one for its scaled copy, peaked at 5.6 MiB; the one
+    # reused block peaks near 3.2 MiB.
+    n, d, m = 2048, 15, 4096
+    ps = product_spec("UniformPM1", "UniformPM1", n=n, d=d, m=m)
+    sample_product(ps, 3)  # one-time allocations of the first draw
+    tracemalloc.start()
+    try:
+        sample_product(ps, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    factor_bytes = 8 * (n * d + d * m)
+    assert peak < ensembles._PRODUCT_BLOCK_BYTES + 3 * factor_bytes
 
 
 def test_streamed_product_memory_stays_below_the_row_factor():

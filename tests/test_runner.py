@@ -5,6 +5,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -765,6 +766,64 @@ def test_plot_data_kinds_and_errors(tmp_path):
         emit_plot_data(res.summary, "tailCurve", tmp_path / "x.csv")
     with pytest.raises(ConfigError):
         emit_plot_data(res.summary, "histogram", tmp_path / "y.csv")
+
+
+@pytest.mark.parametrize("outputs, match", [
+    ({"csv": "x", "summary": "x"}, "both 'x'"),
+    ({"csv": "summary.json"}, "both 'summary.json'"),
+    ({"summary": "trials.csv"}, "both 'trials.csv'"),
+    ({"csv": ""}, "bare file names"),
+    ({"csv": "sub/x.csv"}, "bare file names"),
+    ({"summary": "/tmp/s.json"}, "bare file names"),
+    ({"csv": "."}, "bare file names"),
+    ({"summary": ".."}, "bare file names"),
+    ({"csv": "x.csv/"}, "bare file names"),
+    ({"csv": "a\0b.csv"}, "bare file names"),
+])
+def test_output_names_are_checked_before_any_trial(tmp_path, monkeypatch, outputs, match):
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(runner_mod, "_safe_trial", no_trial)
+    with pytest.raises(ConfigError, match=match):
+        parse_config({**BASE_CFG, "outputs": outputs})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**BASE_CFG, "outputs": outputs}))
+    assert cli_main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_output_names_other_than_the_defaults_are_written(tmp_path):
+    res = run_experiment({**BASE_CFG, "outputs": {"csv": "summary.csv", "summary": "trials.json"}},
+                         out_dir=tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["summary.csv", "trials.json"]
+    assert verify_summary(res.csv_path, res.summary)
+
+
+def test_plot_data_rejects_a_summary_that_is_not_an_object(tmp_path):
+    with pytest.raises(ConfigError, match="the summary must be a JSON object"):
+        emit_plot_data([{"n": 4}], "ratioVsN", tmp_path / "p.csv")
+
+
+@pytest.mark.parametrize("text, kind, match", [
+    (None, "ratioVsN", "cannot read"),
+    ("{not json", "ratioVsN", "cannot read"),
+    ("[1, 2]", "ratioVsN", "must hold a JSON object"),
+    ('"summary"', "tailCurve", "must hold a JSON object"),
+    ('{"series": 5}', "ratioVsN", "'series' must be a list of objects"),
+    ('{"series": [1, 2]}', "ratioVsD", "'series' must be a list of objects"),
+    ('{"series": [{"d": 3, "medianRatio": 1.5}]}', "ratioVsN", "keys \\['n'\\]"),
+    ('{"tail": "abc"}', "tailCurve", "'tail' must be a list of objects"),
+    ('{"tail": [{"x": 1.0}]}', "tailCurve", "'tail' must be a list of objects"),
+])
+def test_cli_plot_rejects_a_bad_summary(tmp_path, capsys, text, kind, match):
+    path = tmp_path / "summary.json"
+    if text is not None:
+        path.write_text(text)
+    out = tmp_path / "p.csv"
+    assert cli_main(["plot", str(path), "--kind", kind, "--out", str(out)]) == 2
+    assert re.search(f"^error: .*{match}", capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_cli_roundtrip(tmp_path, capsys):
