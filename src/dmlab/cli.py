@@ -16,8 +16,8 @@ import sys
 from pathlib import Path
 
 from dmlab.ensembles import EnsembleSpec, marginal_diagnostics
-from dmlab.runner import (_PLOT_KINDS, ConfigError, _expect_keys, emit_plot_data, parse_config,
-                          run_experiment)
+from dmlab.runner import (_PLOT_KINDS, ConfigError, _check_output, _expect_keys, emit_plot_data,
+                          parse_config, run_experiment)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -58,14 +58,15 @@ def _cmd_plot(args) -> int:
 
 def _cmd_diag(args) -> int:
     raw = _load_json(args.ensemble)
+    if args.out:
+        _check_output(args.out)
     _expect_keys(raw, {"kind", "rows", "cols", "vectorAxis", "q"}, "ensemble spec")
     spec = EnsembleSpec(kind=raw.get("kind"), rows=raw.get("rows", 1), cols=raw.get("cols", 1),
                         vector_axis=raw.get("vectorAxis", "rows"))
     diag = marginal_diagnostics(spec, probe_directions=args.probes,
                                 trials=args.trials, seed=args.seed,
                                 q=raw.get("q", 4.0))
-    payload = dataclasses.asdict(diag)
-    text = json.dumps(payload, indent=2)
+    text = json.dumps(dataclasses.asdict(diag), indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
         print(f"wrote {args.out}")

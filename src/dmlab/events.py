@@ -9,10 +9,7 @@ k = 1, at k = m and while the support count permits, and otherwise estimated
 by steepest single-swap local search with restarts.  Greedy numbers are lower
 bounds, so a violation found by greedy is conclusive while a confirmation is
 heuristic; every report records which method produced each number.
-check_event_A reports the sparse supremum at k = 1, the powers of two up to
-k_main = max(1, floor(theta * m)), k_main itself and k = m, no more than its
-running maximum at k_main needs; sparse_profile gives the nested-greedy
-profile at any k.
+check_event_A decides on the one sparse value at k_main = max(1, floor(theta * m)).
 
 The swap search prunes its candidates by one closed-form bound at every k.
 Replacing column i of the support by column j gives the gram of S = X[:, rest]
@@ -230,8 +227,8 @@ def sparse_profile(columns, ks) -> dict:
 class EventReport:
     lambda_min: float              # sigma_min(Gamma2) / sqrt(m)
     lambda_max: float              # sigma_max(Gamma2) / sqrt(m), the measured kappa1
-    sparse_sup: dict               # k -> running maximum at 1, 2, 4, ... <= k_main, k_main, m
-    sparse_methods: dict           # same keys -> "exact" (k = 1, k = m, enumerated k_main) | "greedy"
+    sparse_sup: float              # sparse supremum at k_main = max(1, k_event)
+    sparse_method: str             # "exact" (k_main = 1 or m, or enumerated) | "greedy"
     k_event: int                   # floor(theta * m); 0 means the constraint is vacuous
     event_a_holds: bool
 
@@ -259,11 +256,11 @@ def check_event_A(
 
     The sparse condition constrains unit vectors with at most floor(theta*m)
     nonzero entries; when floor(theta*m) = 0 only the zero vector qualifies
-    and the condition holds vacuously (the map still reports k=1 for
-    information).  sparse_sup holds running maxima at k = 1, the powers of two
-    up to k_main = max(1, k_event), k_main and m: the nested-greedy profile,
-    the swap search at k_main and sigma_max; entries at k=1, k=m and an
-    enumerated k_main are exact.  sparse_profile gives the profile at any k.
+    and the condition holds vacuously (sparse_sup still gives k = 1, for
+    information).  sparse_sup is the larger of the swap search and the
+    nested-greedy profile at k_main = max(1, k_event) (sigma_max at k_main = m),
+    tagged by sparse_method, the search's tag on a tie; the profile never
+    decreases in k, so this is its running maximum over k <= k_main.
     """
     check_event_constants(kappa1, delta, theta, restarts)
     X = _check_matrix(gamma2, "columns")
@@ -275,18 +272,13 @@ def check_event_A(
     k_main = max(1, k_event)
 
     main = sparse_supremum(X, k_main, restarts=restarts, seed=child_seed(seed, 1))
+    if k_main == m:  # m = 1, where sigma_max and the column norm differ in the last bits
+        val, tag = smax, "exact"
+    else:
+        val, tag = sparse_profile(X, [k_main])[k_main], "exact" if k_main == 1 else "greedy"
+    if main.value >= val:
+        val, tag = main.value, main.method
 
-    grid = sorted({1, k_main, m} | {2**j for j in range(1, k_main.bit_length())})  # 2**j <= k_main
-    profile = sparse_profile(X, [k for k in grid if k < m])
-    values, methods, running = {}, {}, 0.0
-    for k in grid:
-        val, tag = (smax, "exact") if k == m else (profile[k], "exact" if k == 1 else "greedy")
-        if k == k_main and main.value >= val:
-            val, tag = main.value, main.method
-        values[k] = running = max(running, val)
-        methods[k] = tag
-
-    sparse_ok = True if k_event < 1 else values[k_main] <= delta * sqrt_m
-    holds = (smax / sqrt_m <= kappa1) and sparse_ok
-    return EventReport(lambda_min=smin / sqrt_m, lambda_max=smax / sqrt_m, sparse_sup=values,
-                       sparse_methods=methods, k_event=k_event, event_a_holds=holds)
+    holds = smax / sqrt_m <= kappa1 and (k_event < 1 or val <= delta * sqrt_m)
+    return EventReport(lambda_min=smin / sqrt_m, lambda_max=smax / sqrt_m, sparse_sup=val,
+                       sparse_method=tag, k_event=k_event, event_a_holds=holds)

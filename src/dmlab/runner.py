@@ -88,6 +88,18 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
+def _check_output(path, make_dirs: bool = False) -> Path:
+    """`path` as a Path; ConfigError unless it is no directory and its parent is one.
+
+    With `make_dirs`, the nearest existing ancestor stands for the parent.
+    """
+    path = Path(path)
+    base = next(p for p in path.parents if p.exists()) if make_dirs else path.parent
+    _require(not path.is_dir(), f"cannot write {path}: it is a directory")
+    _require(base.is_dir(), f"cannot write {path}: {base} is not a directory")
+    return path
+
+
 def _is_num(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
@@ -384,10 +396,9 @@ def _cube_fields(config, ctx, M, seed) -> dict:
 
 def _event_fields(config, ctx, gamma2, seed) -> dict:
     rep = check_event_A(gamma2, *config.event, seed=child_seed(seed, 1))
-    k_main = max(1, rep.k_event)
-    sparse = rep.sparse_methods[k_main] if rep.k_event else "vacuous"  # floor(theta m) = 0
-    return dict(sup_est=rep.sparse_sup[k_main], event_a_holds=rep.event_a_holds,
-                method_tags=f"sparse={sparse};k={k_main};"
+    sparse = rep.sparse_method if rep.k_event else "vacuous"  # floor(theta m) = 0
+    return dict(sup_est=rep.sparse_sup, event_a_holds=rep.event_a_holds,
+                method_tags=f"sparse={sparse};k={max(1, rep.k_event)};"
                             f"kappa1Measured={rep.lambda_max:.6g}")
 
 
@@ -504,7 +515,7 @@ class RunResult:
 
 
 def run_experiment(config: ExperimentConfig | dict, out_dir=".", threads: int = 1) -> RunResult:
-    """Execute the sweep and write the CSV + JSON summary files.
+    """Check the output paths, run the sweep, then make `out_dir` and write the CSV and summary.
 
     `threads` is the number of worker processes, an integer >= 1, capped at
     the CPU count and the number of trials.  At 1 everything runs in this
@@ -517,6 +528,9 @@ def run_experiment(config: ExperimentConfig | dict, out_dir=".", threads: int = 
     if isinstance(config, dict):
         config = parse_config(config)
     _require(_is_int(threads), "threads must be an integer >= 1")
+    outputs = {**_OUTPUT_DEFAULTS, **config.raw.get("outputs", {})}
+    csv_path, summary_path = (_check_output(Path(out_dir) / name, make_dirs=True)
+                              for name in outputs.values())
     workers = min(threads, os.cpu_count() or 1, len(config.schedule) * config.trials)
     if workers > 1:
         # Fork, not spawn: a spawned worker still pays 0.3 s for a fresh interpreter
@@ -530,12 +544,7 @@ def run_experiment(config: ExperimentConfig | dict, out_dir=".", threads: int = 
     else:
         records = _sweep(config, map)
 
-    out_dir = Path(out_dir)  # made only once the sweep has its records
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = {**_OUTPUT_DEFAULTS, **config.raw.get("outputs", {})}
-    csv_path = out_dir / outputs["csv"]
-    summary_path = out_dir / outputs["summary"]
-
+    csv_path.parent.mkdir(parents=True, exist_ok=True)
     rows = [_to_row(rec) for rec in records]
     with csv_path.open("w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)  # RFC-4180: CRLF rows, quotes only where needed
@@ -605,15 +614,12 @@ def _check_entries(entries, name: str, keys: list) -> None:
              f"the summary's {name!r} must be a list of objects with keys {keys}")
 
 
-def emit_plot_data(summary, plot_kind: str, out_path) -> Path:
-    """Write a small delimited table (header + data rows) for external plotting."""
-    if isinstance(summary, (str, Path)):
-        with Path(summary).open("r", encoding="utf-8") as f:
-            summary = json.load(f)
+def emit_plot_data(summary: dict, plot_kind: str, out_path) -> Path:
+    """Write a small delimited table (header + data rows) of a run's summary mapping."""
+    out_path = _check_output(out_path)
     if plot_kind not in _PLOT_KINDS:
         raise ConfigError(f"plot kind must be one of {_PLOT_KINDS}")
     _require(isinstance(summary, dict), "the summary must be a JSON object")
-    out_path = Path(out_path)
 
     if plot_kind == "tailCurve":
         tail = summary.get("tail")

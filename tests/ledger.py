@@ -50,7 +50,8 @@ REL_TOL = 1e-6  # cell comparison on another platform: |a - b| <= REL_TOL max(|a
 # greedy sparse search with more support columns than rows
 # (floor(theta m) = 6 > d = 4), where the swap search keeps d x d rest grams,
 # event A at floor(theta m) = 1, where the sparse supremum is the largest
-# column norm, sign and sphere draws through a product sweep, and a product of
+# column norm, event A at m = 1, where k_main = m and the sparse supremum is
+# sigma_max, sign and sphere draws through a product sweep, and a product of
 # signs at m = 8, whose entries are multiples of 8^(-1/2), so the l_inf lead
 # (first max or first min, the earlier on a tie) meets real ties and the
 # descent's path depends on how it breaks them.
@@ -85,6 +86,12 @@ EXTRA_CFGS = {
         "schedule": [64], "dRule": {"rule": "fixed", "d": 8},
         "mRule": {"rule": "fixed", "m": 64}, "trials": 3,
         "constants": {"theta": 1.5 / 64, "delta": 0.2, "kappa1": 2.0, "restarts": 4},
+    },
+    "event-m-one": {
+        "experimentKind": "eventAFrequency", "body": {"kind": "LpBall", "p": 2},
+        "schedule": [16], "dRule": {"rule": "fixed", "d": 4},
+        "mRule": {"rule": "fixed", "m": 1}, "trials": 3,
+        "constants": {"theta": 0.2, "delta": 0.2, "kappa1": 2.0, "restarts": 2},
     },
     "product-signs-sphere": {
         "experimentKind": "productUniform", "body": {"kind": "LpBall", "p": "inf"},

@@ -1,4 +1,5 @@
 import math
+from collections import namedtuple
 from itertools import combinations
 
 import numpy as np
@@ -410,7 +411,7 @@ def test_event_single_heavy_column_fails():
     cols[0, 0] = 2.0 * math.sqrt(m)
     rep = check_event_A(cols, kappa1=2.0, delta=0.24, theta=0.1, seed=0)
     assert not rep.event_a_holds
-    assert rep.sparse_sup[max(1, rep.k_event)] >= 2.0 * math.sqrt(m) - 1e-9
+    assert rep.sparse_sup >= 2.0 * math.sqrt(m) - 1e-9
 
 
 def test_event_parameter_validation():
@@ -426,25 +427,13 @@ def test_event_parameter_validation():
     check_event_constants(2.0, 0.2, 0.2, 20)
 
 
-def test_event_profile_monotone_and_exact_endpoint():
-    X = sample_matrix(EnsembleSpec("UniformIsotropic", 8, 64, vector_axis="cols"), 5)
-    rep = check_event_A(X, kappa1=2.0, delta=0.2, theta=0.2, seed=1)
-    ks = sorted(rep.sparse_sup)
-    assert ks == [1, 2, 4, 8, 12, 64]  # the powers of two up to k_main = 12, k_main and m
-    vals = [rep.sparse_sup[k] for k in ks]
-    assert all(a <= b + 1e-9 for a, b in zip(vals, vals[1:]))
-    assert rep.sparse_sup[64] == pytest.approx(rep.lambda_max * 8.0, rel=1e-12)
-    assert rep.sparse_methods[64] == "exact"
-    assert rep.k_event == int(0.2 * 64)
-
-
-@pytest.mark.parametrize("theta, k_event", [(1.5 / 64, 1), (0.2, 12)])
+@pytest.mark.parametrize("theta, k_event", [(1.5 / 64, 1)])
 def test_event_tags_the_largest_column_norm_exact(theta, k_event):
     X = sample_matrix(EnsembleSpec("UniformIsotropic", 8, 64, vector_axis="cols"), 5)
     rep = check_event_A(X, kappa1=2.0, delta=0.2, theta=theta, seed=1)
     assert rep.k_event == k_event
-    assert rep.sparse_methods[1] == "exact"
-    assert rep.sparse_sup[1] == pytest.approx(np.linalg.norm(X, axis=0).max(), rel=1e-12)
+    assert rep.sparse_method == "exact"
+    assert rep.sparse_sup == pytest.approx(np.linalg.norm(X, axis=0).max(), rel=1e-12)
 
 
 def test_sparse_profile_monotone_with_exact_endpoints():
@@ -510,7 +499,11 @@ def test_singular_extremes_rejects_a_non_finite_matrix(bad):
 
 # check_event_A as it was when it built the nested-greedy profile over the
 # whole grid {1, 2, 4, ..., m}, kept verbatim as the reference of the
-# bit-identity test below.
+# bit-identity test below, with its report as its own record.
+_ReferenceReport = namedtuple("_ReferenceReport", "lambda_min lambda_max sparse_sup "
+                              "sparse_methods k_event event_a_holds")
+
+
 def _reference_nested_greedy_profile(X, ks):
     d, m = X.shape
     ks = sorted(set(int(k) for k in ks))
@@ -558,7 +551,7 @@ def _reference_check_event_A(gamma2, kappa1, delta, theta, restarts=20, seed=0):
 
     sparse_ok = True if k_event < 1 else values[k_main] <= delta * sqrt_m
     holds = (smax / sqrt_m <= kappa1) and sparse_ok
-    return events.EventReport(
+    return _ReferenceReport(
         lambda_min=smin / sqrt_m,
         lambda_max=smax / sqrt_m,
         sparse_sup=values,
@@ -572,6 +565,21 @@ def _bits(x):
     return np.float64(x).tobytes()
 
 
+def _assert_matches_the_full_profile(law, d, m, theta, k_event):
+    for s in range(20):
+        X = sample_matrix(EnsembleSpec(law, d, m, vector_axis="cols"), child_seed(30, s))
+        rep = check_event_A(X, kappa1=1.25, delta=0.2, theta=theta, restarts=4, seed=s)
+        ref = _reference_check_event_A(X, kappa1=1.25, delta=0.2, theta=theta, restarts=4,
+                                       seed=s)
+        k_main = max(1, k_event)
+        assert rep.k_event == ref.k_event == k_event
+        assert _bits(rep.sparse_sup) == _bits(ref.sparse_sup[k_main])
+        assert rep.sparse_method == ref.sparse_methods[k_main]
+        assert rep.event_a_holds == ref.event_a_holds
+        assert _bits(rep.lambda_min) == _bits(ref.lambda_min)
+        assert _bits(rep.lambda_max) == _bits(ref.lambda_max)
+
+
 @pytest.mark.parametrize("law", ["UniformIsotropic", "LogConcaveSimplex", "GaussianIID"])
 @pytest.mark.parametrize("d, theta, k_event", [
     (8, 1e-4, 0), (8, 1.5 / 64, 1), (8, 4.5 / 64, 4), (4, 6.5 / 64, 6), (8, 0.2, 12),
@@ -581,21 +589,14 @@ def test_event_report_matches_the_full_profile_bit_for_bit(law, d, theta, k_even
     # at d = 8, so at k_event = 0 the event holds on some draws and not on
     # others; delta sqrt(m) = 1.6 is below the column norms, so at k_event >= 1
     # the sparse condition fails.
-    for s in range(20):
-        X = sample_matrix(EnsembleSpec(law, d, 64, vector_axis="cols"), child_seed(30, s))
-        rep = check_event_A(X, kappa1=1.25, delta=0.2, theta=theta, restarts=4, seed=s)
-        ref = _reference_check_event_A(X, kappa1=1.25, delta=0.2, theta=theta, restarts=4,
-                                       seed=s)
-        k_main = max(1, k_event)
-        assert rep.k_event == ref.k_event == k_event
-        assert list(rep.sparse_sup) == [k for k in ref.sparse_sup if k <= k_main or k == 64]
-        assert list(rep.sparse_methods) == list(rep.sparse_sup)
-        for k in rep.sparse_sup:
-            assert _bits(rep.sparse_sup[k]) == _bits(ref.sparse_sup[k])
-            assert rep.sparse_methods[k] == ref.sparse_methods[k]
-        assert rep.event_a_holds == ref.event_a_holds
-        assert _bits(rep.lambda_min) == _bits(ref.lambda_min)
-        assert _bits(rep.lambda_max) == _bits(ref.lambda_max)
+    _assert_matches_the_full_profile(law, d, 64, theta, k_event)
+
+
+@pytest.mark.parametrize("law", ["UniformIsotropic", "LogConcaveSimplex", "GaussianIID"])
+@pytest.mark.parametrize("m", [1, 3])
+def test_event_report_matches_the_full_profile_at_small_m(law, m):
+    # k_event = 0; at m = 1, k_main = m and the report takes sigma_max
+    _assert_matches_the_full_profile(law, 8, m, 0.2, 0)
 
 
 def test_event_grows_the_profile_only_up_to_k_main(monkeypatch):
@@ -607,3 +608,14 @@ def test_event_grows_the_profile_only_up_to_k_main(monkeypatch):
     rep = check_event_A(X, kappa1=2.0, delta=0.2, theta=4.5 / 512, seed=3)
     assert rep.k_event == 4
     assert len(calls) <= 4
+
+
+@pytest.mark.parametrize("m, theta, profile_ks", [(64, 4.5 / 64, [[4]]), (1, 0.2, [])])
+def test_event_asks_the_profile_for_k_main_only(monkeypatch, m, theta, profile_ks):
+    # at m = 1, k_main = m: the report takes sigma_max and asks the profile for nothing
+    calls, profile = [], events.sparse_profile
+    monkeypatch.setattr(events, "sparse_profile",
+                        lambda X, ks: calls.append(list(ks)) or profile(X, ks))
+    X = sample_matrix(EnsembleSpec("UniformIsotropic", 8, m, vector_axis="cols"), 3)
+    check_event_A(X, kappa1=2.0, delta=0.2, theta=theta, seed=3)
+    assert calls == profile_ks

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dmlab.cli as cli_mod
 import dmlab.runner as runner_mod
 from dmlab.bodies import LpBall
 from dmlab.cli import main as cli_main
@@ -759,7 +760,8 @@ def test_sandbox_tail_averages_every_trial(tmp_path):
 
 def test_plot_data_kinds_and_errors(tmp_path):
     res = run_experiment(BASE_CFG, out_dir=tmp_path)
-    out = emit_plot_data(res.summary_path, "ratioVsN", tmp_path / "n.csv")
+    summary = json.loads(res.summary_path.read_text(encoding="utf-8"))
+    out = emit_plot_data(summary, "ratioVsN", tmp_path / "n.csv")
     first = out.read_text().strip().splitlines()
     assert first[0] == "n,median,q25,q75"
     with pytest.raises(ConfigError, match="tail"):
@@ -966,6 +968,42 @@ def test_cli_diag_writes_its_out_file(tmp_path, capsys):
                      "--trials", "1000", "--out", str(out)]) == 0
     assert capsys.readouterr().out == f"wrote {out}\n"
     assert json.loads(out.read_text())["trials"] == 1000
+
+
+def _no_work(*args):
+    raise AssertionError("work ran before the output paths were checked")
+
+
+@pytest.mark.parametrize("out_dir, made", [
+    ("afile", []), ("afile/sub", []), ("out", ["out/trials.csv"]),
+], ids=["a-file", "below-a-file", "csv-name-is-a-directory"])
+def test_cli_run_checks_its_output_paths_before_any_trial(tmp_path, monkeypatch, capsys,
+                                                          out_dir, made):
+    (tmp_path / "afile").write_text("x")
+    for d in made:
+        (tmp_path / d).mkdir(parents=True)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(BASE_CFG))
+    before = sorted(tmp_path.rglob("*"))
+    monkeypatch.setattr(runner_mod, "_safe_trial", _no_work)
+    assert cli_main(["run", str(path), "--out-dir", str(tmp_path / out_dir)]) == 2
+    assert re.search("^error: cannot write .*is (not )?a directory", capsys.readouterr().err)
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_cli_plot_and_diag_check_their_out_paths_first(tmp_path, monkeypatch, capsys):
+    summary = tmp_path / "summary.json"
+    summary.write_text(json.dumps({"series": [{"n": 4, "medianRatio": 1.5}]}))
+    (tmp_path / "adir").mkdir()
+    monkeypatch.setattr(cli_mod, "marginal_diagnostics", _no_work)
+    for out in ("nodir/p.csv", "adir"):
+        assert cli_main(["plot", str(summary), "--kind", "ratioVsN",
+                         "--out", str(tmp_path / out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path / out}")
+        assert cli_main(["diag", str(DEMO_CONFIGS / "uniform_ensemble.json"),
+                         "--out", str(tmp_path / out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path / out}")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["adir", "summary.json"]
 
 
 def _load(path: Path):
